@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/async/... ./internal/netrun/... ./internal/multi/... \
             ./internal/causal/...
 
 .PHONY: all build test vet fmt-check race chaos chaos-proc telemetry trace \
-        bench-smoke bench-json bench-gate bench-warm bench-wire scale-smoke \
+        bench-smoke bench-build bench-json bench-gate bench-warm bench-wire scale-smoke \
         service-smoke soak staticcheck govulncheck ci
 
 # The paired (ref vs dense) benchmarks bench-json compares.
@@ -73,7 +73,7 @@ chaos-proc:
 	CHAOS_PROC=1 $(GO) test -race -run TestChaosProc -v -timeout 15m ./cmd/dcspnode/
 
 # The telemetry job's gating half: the on/off bit-identical inertness
-# tests (results, trace bytes, cell aggregates across all three runtimes)
+# tests (results, cycle traces, cell aggregates across all three runtimes)
 # and the store-hook accounting tests, under the race detector. The CI job
 # additionally smoke-tests the live /metrics endpoint and captures a
 # Table-1 telemetry stream.
@@ -102,6 +102,12 @@ trace:
 
 bench-smoke:
 	$(GO) test -bench=BenchmarkTable1 -benchtime=1x -run='^$$' -timeout 10m .
+
+# The nested solvebench module sits outside `go test ./...` but imports the
+# root module's APIs: vet it (which type-checks every file) so an API change
+# cannot silently break the end-to-end benchmark's build.
+bench-build:
+	GOWORK=off $(GO) -C solvebench vet ./...
 
 # Regenerates BENCH_2.json: runs the benchmarks that pair a map-backed
 # reference variant (/ref) against the dense default (/dense) and converts
@@ -183,4 +189,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build vet fmt-check staticcheck govulncheck test race chaos chaos-proc telemetry trace bench-smoke bench-gate scale-smoke service-smoke
+ci: build vet fmt-check staticcheck govulncheck test race chaos chaos-proc telemetry trace bench-smoke bench-build bench-gate scale-smoke service-smoke

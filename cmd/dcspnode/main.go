@@ -84,9 +84,12 @@ func run() error {
 	}
 
 	opts := discsp.Options{
-		InitialSeed: *seed,
-		WireCodec:   *wireCodec,
-		WireNoBatch: *noBatch,
+		InitialSeed:        *seed,
+		WireCodec:          *wireCodec,
+		WireNoBatch:        *noBatch,
+		WireChecksum:       *wireCRC,
+		TCPHeartbeat:       *heartbeat,
+		TCPDeadPeerTimeout: *deadPeer,
 	}
 	switch *algo {
 	case "awc":
@@ -118,7 +121,6 @@ func run() error {
 	// Causal tracing is per-process: this worker's spans and stamped trace
 	// IDs go to its own stream file, self-consistent on its own (message
 	// edges into sibling workers resolve in their streams).
-	var ct *discsp.Telemetry
 	if *causalOn != (*causalOut != "") {
 		return fmt.Errorf("-causal and -trace-out go together")
 	}
@@ -128,25 +130,22 @@ func run() error {
 			return err
 		}
 		defer f.Close()
-		ct = discsp.NewTelemetry(nil, f)
+		ct := discsp.NewTelemetry(nil, f)
 		defer func() {
 			if err := ct.Flush(); err != nil {
 				fmt.Fprintln(os.Stderr, "dcspnode: causal trace stream:", err)
 			}
 		}()
+		opts.Causal = ct
 	}
 
 	fmt.Fprintf(os.Stderr, "dcspnode: %d nodes (%s) dialing %d relays\n",
 		len(vars), *varsArg, len(addrs))
 	stats, err := discsp.SolveTCPWorker(problem, opts, discsp.TCPWorkerOptions{
-		Addrs:           addrs,
-		Vars:            vars,
-		DrainWindow:     *drainWin,
-		ConnectTimeout:  *connTO,
-		Checksum:        *wireCRC,
-		Heartbeat:       *heartbeat,
-		DeadPeerTimeout: *deadPeer,
-		Causal:          ct,
+		Addrs:          addrs,
+		Vars:           vars,
+		DrainWindow:    *drainWin,
+		ConnectTimeout: *connTO,
 	})
 	if err != nil {
 		return err

@@ -44,10 +44,8 @@ import (
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/faults"
-	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/stats"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 func main() {
@@ -80,7 +78,6 @@ func run() error {
 		trials    = flag.Int("trials", 1, "random-initial-value trials (seed, seed+1, ...); >1 prints cell-style aggregates")
 		workers   = flag.Int("workers", 0, "concurrent trial workers for -trials; 0 = all CPUs, 1 = serial")
 		verbose   = flag.Bool("v", false, "print the solution assignment")
-		traceOut  = flag.String("trace", "", "write a JSONL cycle trace to this file (sync runs only)")
 		block     = flag.Int("block", 0, "variables per agent; >1 runs the multi-variable AWC extension")
 		faultsArg = flag.String("faults", "", "fault profile for -async/-tcp runs; syntax: "+faults.ProfileSyntax)
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
@@ -302,8 +299,8 @@ func run() error {
 	}
 
 	if *trials > 1 {
-		if *useAsync || *useTCP || *traceOut != "" || *block > 1 {
-			return fmt.Errorf("-trials needs the default synchronous single-variable path (no -async, -tcp, -trace, -block)")
+		if *useAsync || *useTCP || *block > 1 {
+			return fmt.Errorf("-trials needs the default synchronous single-variable path (no -async, -tcp, -block)")
 		}
 		var j *experiments.Journal
 		if *journal != "" {
@@ -328,25 +325,6 @@ func run() error {
 		return fmt.Errorf("-journal needs -trials > 1 (a single run has nothing to resume)")
 	}
 	opts.Telemetry = tel
-
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		if *useAsync {
-			return fmt.Errorf("-trace requires a synchronous run")
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rec = trace.NewRecorder(f)
-		rec.Start(trace.Meta{
-			Algorithm: fmt.Sprintf("%s/%s", opts.Algorithm, *learn),
-			Vars:      problem.NumVars(),
-			Nogoods:   problem.NumNogoods(),
-		})
-		opts.Trace = rec.Hook()
-	}
 
 	var res discsp.Result
 	switch {
@@ -383,19 +361,6 @@ func run() error {
 		}
 		fmt.Printf("%s: solved=%v insoluble=%v cycle=%d maxcck=%d messages=%d\n",
 			opts.Algorithm, res.Solved, res.Insoluble, res.Cycles, res.MaxCCK, res.Messages)
-	}
-	if rec != nil {
-		rec.End(sim.Result{
-			Solved:      res.Solved,
-			Insoluble:   res.Insoluble,
-			Cycles:      res.Cycles,
-			MaxCCK:      res.MaxCCK,
-			TotalChecks: res.TotalChecks,
-			Messages:    int(res.Messages),
-		})
-		if err := rec.Flush(); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
 	}
 	if *verbose && len(res.MessagesByType) > 0 {
 		kinds := make([]string, 0, len(res.MessagesByType))

@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"github.com/discsp/discsp"
-	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 // writeFixture drops content into a temp file and returns its path.
@@ -46,77 +44,68 @@ func tornTail(t *testing.T, stream []byte) []byte {
 	}
 }
 
-// solveStreams produces matched v1-trace and telemetry streams from one
-// real solve, so the fixtures are byte-genuine writer output.
-func solveStreams(t *testing.T) (v1, tel []byte) {
+// solveStream produces a telemetry stream from one real solve, so the
+// fixture is byte-genuine writer output.
+func solveStream(t *testing.T) []byte {
 	t.Helper()
 	col, err := discsp.GenerateColoring(8, 12, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traceBuf, telBuf bytes.Buffer
-	rec := trace.NewRecorder(&traceBuf)
-	rec.Start(trace.Meta{
-		Algorithm: "AWC-rslv",
-		Vars:      col.Problem.NumVars(),
-		Nogoods:   col.Problem.NumNogoods(),
-	})
-	opts := discsp.Options{
-		InitialSeed: 3,
-		Trace:       rec.Hook(),
-		Telemetry:   discsp.NewTelemetry(nil, &telBuf),
-	}
-	res, err := discsp.Solve(col.Problem, opts)
-	if err != nil {
+	var buf bytes.Buffer
+	tel := discsp.NewTelemetry(nil, &buf)
+	if _, err := discsp.Solve(col.Problem, discsp.Options{InitialSeed: 3, Telemetry: tel}); err != nil {
 		t.Fatal(err)
 	}
-	rec.End(sim.Result{
-		Solved:      res.Solved,
-		Insoluble:   res.Insoluble,
-		Cycles:      res.Cycles,
-		MaxCCK:      res.MaxCCK,
-		TotalChecks: res.TotalChecks,
-		Messages:    int(res.Messages),
-	})
-	if err := rec.Flush(); err != nil {
+	if err := tel.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := opts.Telemetry.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return traceBuf.Bytes(), telBuf.Bytes()
+	return buf.Bytes()
 }
 
+// legacyTrace is a complete stream in the v1 cycle-trace format the
+// removed dcspsolve -trace flag wrote.
+var legacyTrace = []byte(`{"kind":"start","algorithm":"AWC/rslv","vars":8,"nogoods":36}
+{"kind":"cycle","cycle":1,"messagesIn":24,"messagesOut":10,"maxChecks":9}
+{"kind":"cycle","cycle":2,"messagesIn":10,"messagesOut":4,"maxChecks":6,"solutionFound":true}
+{"kind":"end","solutionFound":true,"cycles":2,"maxcck":15,"totalChecks":61,"messages":34}
+`)
+
 func TestAnalyzeAcceptsCompleteStreams(t *testing.T) {
-	v1, tel := solveStreams(t)
-	if err := analyze(writeFixture(t, "v1.jsonl", v1), analysis{}); err != nil {
-		t.Errorf("complete v1 trace refused: %v", err)
-	}
+	tel := solveStream(t)
 	if err := analyze(writeFixture(t, "tel.jsonl", tel), analysis{}); err != nil {
 		t.Errorf("complete telemetry stream refused: %v", err)
 	}
+	if err := analyze(writeFixture(t, "tel.jsonl", tel), analysis{cycles: true}); err != nil {
+		t.Errorf("per-cycle table refused: %v", err)
+	}
 }
 
-// TestAnalyzeRefusesTornTails is the satellite's contract: a stream whose
-// tail was torn exits with the reader's versioned truncation error instead
-// of rendering a silently partial table.
+// TestAnalyzeRefusesTornTails: a stream whose tail was torn exits with the
+// reader's versioned truncation error instead of rendering a silently
+// partial table.
 func TestAnalyzeRefusesTornTails(t *testing.T) {
-	v1, tel := solveStreams(t)
-	err := analyze(writeFixture(t, "v1-torn.jsonl", tornTail(t, v1)), analysis{})
-	if !errors.Is(err, trace.ErrTruncatedTrace) {
-		t.Errorf("torn v1 trace: want ErrTruncatedTrace, got %v", err)
-	}
-	err = analyze(writeFixture(t, "tel-torn.jsonl", tornTail(t, tel)), analysis{})
+	tel := solveStream(t)
+	err := analyze(writeFixture(t, "tel-torn.jsonl", tornTail(t, tel)), analysis{})
 	if !errors.Is(err, telemetry.ErrTruncatedStream) {
 		t.Errorf("torn telemetry stream: want ErrTruncatedStream, got %v", err)
 	}
 }
 
+// TestAnalyzeRefusesLegacyTrace: a v1 cycle trace fails with the versioned
+// legacy-trace error naming the flag that replaced it, not a field-level
+// decode error.
+func TestAnalyzeRefusesLegacyTrace(t *testing.T) {
+	err := analyze(writeFixture(t, "v1.jsonl", legacyTrace), analysis{})
+	if !errors.Is(err, telemetry.ErrLegacyTrace) {
+		t.Errorf("want ErrLegacyTrace, got %v", err)
+	}
+}
+
 // TestAnalyzeCausalOnLegacyTrace: asking a v1 cycle trace for causal
-// analyses names the producing flag via the versioned legacy-trace error.
+// analyses fails with the same versioned legacy-trace error.
 func TestAnalyzeCausalOnLegacyTrace(t *testing.T) {
-	v1, _ := solveStreams(t)
-	err := analyze(writeFixture(t, "v1.jsonl", v1), analysis{critical: true})
+	err := analyze(writeFixture(t, "v1.jsonl", legacyTrace), analysis{critical: true})
 	if !errors.Is(err, telemetry.ErrLegacyTrace) {
 		t.Errorf("want ErrLegacyTrace, got %v", err)
 	}

@@ -143,21 +143,12 @@ type Result struct {
 	// Duration is the wall-clock time from start to stop.
 	Duration time.Duration
 
-	// Retransmits counts message transmissions repeated because a fault
-	// dropped an earlier attempt, including batches redelivered to a
-	// restarted agent.
-	Retransmits int64
-	// DuplicatesSuppressed counts injected duplicate deliveries discarded
-	// before reaching an agent.
-	DuplicatesSuppressed int64
-	// Restarts counts agents that crashed and recovered from a checkpoint.
-	Restarts int64
-	// Partitioned counts messages held at a partition cut (delivered at
-	// heal, or stranded forever under a never-healing window).
-	Partitioned int64
-	// PartitionHeals counts scheduled partition windows that healed within
-	// the run's duration.
-	PartitionHeals int64
+	// Transport holds the reliability-layer counters: retransmissions past
+	// a dropped attempt (including batches redelivered to a restarted
+	// agent), injected duplicates discarded before delivery, crash
+	// restarts, messages held at a partition cut, and partition windows
+	// healed within the run. The TCP-only counters stay zero.
+	telemetry.Transport
 }
 
 // Run executes one agent goroutine per problem variable until the monitor
@@ -389,13 +380,7 @@ func (rt *runtime) emitFinal(res Result) {
 	}
 	reg.Counter("discsp_deliveries_total").Add(res.Messages)
 	reg.Counter("discsp_checks_total").Add(res.TotalChecks)
-	telemetry.Transport{
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
-	}.Record(reg)
+	res.Transport.Record(reg)
 }
 
 // linkKey identifies one directed communication link.
@@ -773,12 +758,15 @@ func (rt *runtime) monitor(timeout, poll, cadence time.Duration) (Result, error)
 			te := &TimeoutError{
 				Timeout:   timeout,
 				InFlight:  rt.inFlight.Load(),
-				Delivered: rt.delivered.Load(),
 				Processed: make([]int64, len(rt.processed)),
 				Report:    wd.Report(now),
 			}
+			// The agents are still running: every batch adds to both
+			// delivered and its agent's processed count, so reading the two
+			// counters separately tears. Sum the per-agent snapshot instead.
 			for i := range rt.processed {
 				te.Processed[i] = rt.processed[i].Load()
+				te.Delivered += te.Processed[i]
 			}
 			return Result{}, te
 		}

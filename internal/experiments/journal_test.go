@@ -186,20 +186,18 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 }
 
 // flakyAlgorithm wraps alg to fail every trial after the first `allow`
-// completions — a deterministic stand-in for a run killed partway through.
+// to start — a deterministic stand-in for a run killed partway through.
+// Counting starts rather than completions keeps concurrent workers from
+// all slipping past the gate before any of them finishes.
 func flakyAlgorithm(alg Algorithm, allow int64) Algorithm {
-	var done atomic.Int64
+	var started atomic.Int64
 	return Algorithm{
 		Name: alg.Name,
 		Run: func(p *csp.Problem, init csp.SliceAssignment, opts sim.Options) (TrialResult, error) {
-			if done.Load() >= allow {
+			if started.Add(1) > allow {
 				return TrialResult{}, fmt.Errorf("injected interruption")
 			}
-			tr, err := alg.Run(p, init, opts)
-			if err == nil {
-				done.Add(1)
-			}
-			return tr, err
+			return alg.Run(p, init, opts)
 		},
 	}
 }

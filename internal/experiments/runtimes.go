@@ -93,17 +93,11 @@ func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, lear
 		return nil, fmt.Errorf("async: %w", err)
 	}
 	out = append(out, RuntimeResult{
-		Runtime:  "async",
-		Solved:   asyncRes.Solved,
-		Messages: asyncRes.Messages,
-		Duration: asyncRes.Duration,
-		Transport: telemetry.Transport{
-			Retransmits:          asyncRes.Retransmits,
-			DuplicatesSuppressed: asyncRes.DuplicatesSuppressed,
-			Restarts:             asyncRes.Restarts,
-			Partitioned:          asyncRes.Partitioned,
-			PartitionHeals:       asyncRes.PartitionHeals,
-		},
+		Runtime:   "async",
+		Solved:    asyncRes.Solved,
+		Messages:  asyncRes.Messages,
+		Duration:  asyncRes.Duration,
+		Transport: asyncRes.Transport,
 	})
 
 	tcpAgent := makeAgent
@@ -145,23 +139,11 @@ func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, lear
 		})
 	}
 	out = append(out, RuntimeResult{
-		Runtime:  "tcp",
-		Solved:   tcpRes.Solved,
-		Messages: tcpRes.Messages,
-		Duration: tcpRes.Duration,
-		Transport: telemetry.Transport{
-			Retransmits:          tcpRes.Retransmits,
-			DuplicatesSuppressed: tcpRes.DuplicatesSuppressed,
-			Restarts:             tcpRes.Restarts,
-			Partitioned:          tcpRes.Partitioned,
-			PartitionHeals:       tcpRes.PartitionHeals,
-			Reconnects:           tcpRes.Reconnects,
-			HeartbeatTimeouts:    tcpRes.HeartbeatTimeouts,
-			CorruptFrames:        tcpRes.CorruptFrames,
-			BytesSent:            tcpRes.BytesSent,
-			BytesRecv:            tcpRes.BytesRecv,
-			BatchedFrames:        tcpRes.BatchedFrames,
-		},
+		Runtime:   "tcp",
+		Solved:    tcpRes.Solved,
+		Messages:  tcpRes.Messages,
+		Duration:  tcpRes.Duration,
+		Transport: tcpRes.Transport,
 	})
 	return out, nil
 }

@@ -139,6 +139,7 @@ func TestCausalSurvivesColdReconnect(t *testing.T) {
 	}()
 	addrs := <-addrsCh
 	px := newTestProxy(t, addrs[0])
+	px.armAt(4<<10, px.severAll)
 
 	statsCh := make(chan WorkerStats, 1)
 	workerErr := make(chan error, 1)
@@ -153,8 +154,7 @@ func TestCausalSurvivesColdReconnect(t *testing.T) {
 		workerErr <- err
 	}()
 
-	px.waitBytes(t, 4<<10, 20*time.Second)
-	px.severAll()
+	px.waitTripped(t, 20*time.Second)
 
 	out := <-hubCh
 	if out.err != nil {

@@ -97,3 +97,32 @@ func TestTCPQuiescenceOnUnconstrainedProblem(t *testing.T) {
 		t.Fatalf("consistent start not recognized: %+v", res)
 	}
 }
+
+// TestRunShutdownClosesLateAccepts pins the shutdown race between a relay's
+// accept loop and Run's connection teardown: a connection accepted just
+// after Run closed every known socket used to stay open, leaving its node
+// blocked reading a welcome that never came and Run waiting on it forever.
+// A nanosecond timeout ends each run while nodes are still dialing, which
+// is exactly when the race fires.
+func TestRunShutdownClosesLateAccepts(t *testing.T) {
+	inst, err := gen.Coloring(20, 54, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := gen.RandomInitial(inst.Problem, 11)
+	makeAgent := func(v csp.Var) sim.Agent {
+		return core.NewAgent(v, inst.Problem, init[v], core.Learning{Kind: core.LearnResolvent})
+	}
+	for i := 0; i < 20; i++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			Run(inst.Problem, makeAgent, Options{Timeout: time.Nanosecond})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run %d did not shut down within 30s", i)
+		}
+	}
+}

@@ -42,10 +42,13 @@ type relayConn struct {
 	node  int  // registered node id; -1 until the hello is processed
 	dirty bool // buffered writes awaiting the route loop's idle flush
 	crcOn bool // CRC32C trailer negotiated on this connection
+	// seq is the accept order across every relay: a node's later socket
+	// supersedes its earlier ones, whatever order their frames arrive in.
+	seq int64
 }
 
-// acceptLoop accepts connections on one relay until its listener closes,
-// spawning a read loop per connection.
+// acceptLoop accepts connections on one relay until its listener closes or
+// Run tears the sockets down, spawning a read loop per connection.
 func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 	for {
 		conn, err := r.ln.Accept()
@@ -60,6 +63,14 @@ func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 			node:  -1,
 		}
 		h.connMu.Lock()
+		if h.connsClosed {
+			// Run already swept the sockets: nobody would close this one.
+			h.connMu.Unlock()
+			conn.Close()
+			return
+		}
+		h.acceptSeq++
+		rc.seq = h.acceptSeq
 		h.allConns = append(h.allConns, rc)
 		h.connMu.Unlock()
 		readWG.Add(1)

@@ -12,8 +12,8 @@ import (
 // SchemaVersion is the telemetry stream schema this package writes and the
 // newest it can read. Streams always open with a meta event carrying the
 // writer's schema so readers can fail with a versioned error instead of a
-// raw decode error (the v1 internal/trace format had no version marker; it
-// is recognized by its "start" first event).
+// raw decode error (the v1 cycle-trace format had no version marker; it is
+// recognized by its "start" first event).
 //
 // Schema 3 added the span event kind (causal tracing, internal/causal);
 // schema-2 streams contain a strict subset of the schema-3 kinds, so this
@@ -197,9 +197,9 @@ func (r *Recorder) Flush() error {
 // Stream read errors. Both carry enough context for a CLI to tell the user
 // which binary/stream combination they have.
 var (
-	// ErrLegacyTrace marks a v1 internal/trace stream (dcspsolve -trace)
-	// fed to the telemetry reader.
-	ErrLegacyTrace = errors.New("telemetry: schema-1 trace stream (dcspsolve -trace format); read it with the trace reader")
+	// ErrLegacyTrace marks a v1 cycle trace (the format of the removed
+	// dcspsolve -trace flag) fed to the telemetry reader.
+	ErrLegacyTrace = errors.New("telemetry: schema-1 cycle trace (removed dcspsolve -trace format); rerun with dcspsolve -telemetry for a readable stream")
 	// ErrSchemaUnsupported marks a stream whose meta event declares a
 	// schema this binary does not know.
 	ErrSchemaUnsupported = errors.New("telemetry: unsupported stream schema")
@@ -232,8 +232,8 @@ var legacyKinds = map[string]bool{"start": true, "cycle": true, "end": true}
 
 // Read decodes a telemetry JSONL stream. The first event must be a meta
 // event declaring a schema this binary supports; a stream opening with a
-// v1 trace event returns ErrLegacyTrace (so callers can fall back to the
-// trace reader or tell the user to), and a newer schema returns
+// v1 trace event returns ErrLegacyTrace (so callers can tell the user
+// which flag replaced it), and a newer schema returns
 // ErrSchemaUnsupported with the offending version.
 func Read(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)

@@ -1,7 +1,7 @@
 // Package telemetry is the unified observability layer: a zero-dependency
 // metrics registry (counters, gauges, bounded histograms) plus a structured
-// run-event recorder that generalizes internal/trace beyond the synchronous
-// simulator.
+// run-event recorder — the one event format every runtime writes and every
+// reader (dcsptrace, dcspd's event endpoint, the summaries) consumes.
 //
 // Two properties are load-bearing and pinned by tests:
 //

@@ -61,9 +61,9 @@ const (
 	LearnNone
 )
 
-// Options configures Solve and SolveAsync. The zero value requests AWC with
-// unrestricted resolvent-based learning, the paper's 10000-cycle cutoff,
-// and all-zero initial values.
+// Options configures Solve, SolveAsync, SolveTCP and SolveTCPWorker. The
+// zero value requests AWC with unrestricted resolvent-based learning, the
+// paper's 10000-cycle cutoff, and all-zero initial values.
 type Options struct {
 	// Algorithm selects AWC (default), DB, or ABT.
 	Algorithm AlgorithmKind
@@ -143,15 +143,19 @@ type Options struct {
 	// size-bounded batches with one ack watermark per link.
 	WireNoBatch bool
 	// WireChecksum arms the CRC32C frame trailer on SolveTCP's binary
-	// connections (hub side; workers request it in their hellos): damaged
-	// frames are detected, dropped, counted, and recovered by
-	// retransmission instead of corrupting the decode.
+	// connections: damaged frames are detected, dropped, counted, and
+	// recovered by retransmission instead of corrupting the decode. A
+	// SolveTCPWorker requests it in its hellos; it takes effect only when
+	// the hub armed it too.
 	WireChecksum bool
-	// TCPHeartbeat is SolveTCP's liveness beacon period on every hub↔node
-	// link; 0 means 500ms, negative disables liveness.
+	// TCPHeartbeat is the liveness beacon period on every hub↔node link;
+	// 0 means 500ms, negative disables liveness. Workers should match the
+	// hub's setting.
 	TCPHeartbeat time.Duration
 	// TCPDeadPeerTimeout is how long a node may stay silent before the hub
-	// declares it dead; 0 means 4× the heartbeat period.
+	// declares it dead — and, on a SolveTCPWorker, how long the hub may
+	// stay silent before a node abandons its connection and redials; 0
+	// means 4× the heartbeat period.
 	TCPDeadPeerTimeout time.Duration
 	// TCPReconnectGrace is how long the hub parks an unreachable node's
 	// frames awaiting its re-hello (a worker redial or process relaunch)
@@ -168,7 +172,8 @@ type Options struct {
 	// a separate stream gets its own meta and end events so dcsptrace
 	// sees the runtime and verdict. Causal tracing is observationally
 	// inert: enabling it never changes verdicts, assignments, message
-	// counts, or any non-span event (pinned by TestCausalInert).
+	// counts, or any non-span event (pinned by TestCausalInert). On a
+	// SolveTCPWorker it traces that worker's nodes.
 	Causal *Telemetry
 	// WarmCache, when non-nil, warm-starts AWC from nogoods learned by
 	// previous runs: before the run each agent is seeded with the cached
@@ -380,35 +385,38 @@ func harvestWarmCache(cache *NogoodCache, p *Problem, agents []sim.Agent) {
 	cache.Put(p, all)
 }
 
-// causalStart builds the run's tracer from Options.Causal. A causal stream
-// separate from the run's Telemetry stream gets its own meta event so the
-// graph builder learns the runtime (it classifies inter-span latency as
-// queue vs. wire from it).
-func (o Options) causalStart(p *Problem, runtime string) *causal.Tracer {
-	if o.Causal == nil {
-		return nil
-	}
-	if o.Causal != o.Telemetry {
-		o.Causal.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   runtime,
-			Algorithm: o.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
-	}
-	return causal.New(o.Causal, p)
-}
+// runtimeLeg is one runtime's part of a solve: it runs the agents makeAgent
+// builds (each already attached to tracer when causal tracing is on) and
+// maps the runtime's result into a Result.
+type runtimeLeg func(makeAgent func(v csp.Var) sim.Agent, tracer *causal.Tracer) (Result, error)
 
-// causalEnd closes a separate causal stream with the run verdict — which
-// doubles as the stream-completeness marker dcsptrace requires. When the
-// causal stream is the Telemetry stream, the telemetry finalizers already
-// close it.
-func (o Options) causalEnd(out Result) {
-	if o.Causal == nil || o.Causal == o.Telemetry {
-		return
+// solve is the one solve path behind Solve, SolveAsync, SolveTCP and
+// SolveTCPWorker. It owns what every runtime shares: initial values, agent
+// construction, causal tracing, and the meta and end events that bracket
+// the Telemetry stream and a separate Causal stream (which gets its own so
+// dcsptrace sees the runtime and verdict; the end event doubles as the
+// stream-completeness marker). leg supplies the runtime call.
+func (o Options) solve(p *Problem, runtime string, leg runtimeLeg) (Result, error) {
+	init, err := o.initial(p)
+	if err != nil {
+		return Result{}, err
 	}
-	o.Causal.Emit(telemetry.Event{
+	separate := o.Causal != nil && o.Causal != o.Telemetry
+	meta := telemetry.Event{
+		Kind:      telemetry.KindMeta,
+		Runtime:   runtime,
+		Algorithm: o.AlgorithmName(),
+		Vars:      p.NumVars(),
+		Nogoods:   p.NumNogoods(),
+	}
+	o.Telemetry.Emit(meta)
+	if separate {
+		o.Causal.Emit(meta)
+	}
+	tracer := causal.New(o.Causal, p)
+	out, err := leg(withCausal(tracer, o.makeAgent(p, init)), tracer)
+
+	end := telemetry.Event{
 		Kind:        telemetry.KindEnd,
 		Solved:      out.Solved,
 		Insoluble:   out.Insoluble,
@@ -417,7 +425,16 @@ func (o Options) causalEnd(out Result) {
 		TotalChecks: out.TotalChecks,
 		Messages:    out.Messages,
 		DurationUS:  out.Duration.Microseconds(),
-	})
+	}
+	if separate {
+		o.Causal.Emit(end) // the verdict only: transport counters are telemetry's
+	}
+	if t := out.Transport(); !t.IsZero() {
+		end.Transport = &t
+	}
+	o.Telemetry.Emit(end)
+	o.Telemetry.EmitSnapshot()
+	return out, err
 }
 
 // causalAttach is implemented by agents that record learn/store/consult
@@ -444,47 +461,33 @@ func withCausal(tr *causal.Tracer, makeAgent func(v csp.Var) sim.Agent) func(v c
 // Solve runs the selected algorithm on the deterministic synchronous
 // simulator and reports the paper's cost metrics.
 func Solve(p *Problem, opts Options) (Result, error) {
-	init, err := opts.initial(p)
-	if err != nil {
-		return Result{}, err
-	}
-	tracer := opts.causalStart(p, "sync")
-	agents := buildAgents(p.NumVars(), withCausal(tracer, opts.makeAgent(p, init)))
-	trace := opts.Trace
-	tel := opts.Telemetry
-	if tel != nil {
-		tel.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "sync",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
-		instrumentAgents(tel.Registry(), agents)
-		trace = teeCycleEvents(tel, agents, opts.Trace)
-	}
-	res, err := sim.Run(p, agents, sim.Options{MaxCycles: opts.MaxCycles, Trace: trace, Causal: tracer})
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{
-		Solved:         res.Solved,
-		Insoluble:      res.Insoluble,
-		Assignment:     res.Assignment,
-		Cycles:         res.Cycles,
-		MaxCCK:         res.MaxCCK,
-		TotalChecks:    res.TotalChecks,
-		Messages:       int64(res.Messages),
-		MessagesByType: res.MessagesByType,
-	}
-	if tel != nil {
-		emitSyncFinal(tel, agents, out)
-	}
-	opts.causalEnd(out)
-	if opts.Algorithm == AWC || opts.Algorithm == 0 {
-		harvestWarmCache(opts.WarmCache, p, agents)
-	}
-	return out, nil
+	return opts.solve(p, "sync", func(makeAgent func(v csp.Var) sim.Agent, tracer *causal.Tracer) (Result, error) {
+		agents := buildAgents(p.NumVars(), makeAgent)
+		trace := opts.Trace
+		if tel := opts.Telemetry; tel != nil {
+			instrumentAgents(tel.Registry(), agents)
+			trace = teeCycleEvents(tel, agents, opts.Trace)
+		}
+		res, err := sim.Run(p, agents, sim.Options{MaxCycles: opts.MaxCycles, Trace: trace, Causal: tracer})
+		if err != nil {
+			return Result{}, err
+		}
+		out := Result{
+			Solved:         res.Solved,
+			Insoluble:      res.Insoluble,
+			Assignment:     res.Assignment,
+			Cycles:         res.Cycles,
+			MaxCCK:         res.MaxCCK,
+			TotalChecks:    res.TotalChecks,
+			Messages:       int64(res.Messages),
+			MessagesByType: res.MessagesByType,
+		}
+		emitAgentTotals(opts.Telemetry, agents, out)
+		if opts.Algorithm == AWC || opts.Algorithm == 0 {
+			harvestWarmCache(opts.WarmCache, p, agents)
+		}
+		return out, nil
+	})
 }
 
 // instrumentAgents attaches per-agent store gauges and learned-nogood
@@ -543,9 +546,13 @@ func teeCycleEvents(tel *Telemetry, agents []sim.Agent, inner func(CycleEvent)) 
 	}
 }
 
-// emitSyncFinal closes a synchronous run's telemetry: per-agent totals, run
-// counters, the end verdict, and a metrics snapshot.
-func emitSyncFinal(tel *Telemetry, agents []sim.Agent, out Result) {
+// emitAgentTotals reports a synchronous run's per-agent totals and run
+// counters to its telemetry, the part of the close the async and tcp
+// runtimes do themselves.
+func emitAgentTotals(tel *Telemetry, agents []sim.Agent, out Result) {
+	if tel == nil {
+		return
+	}
 	for i, a := range agents {
 		ev := telemetry.Event{Kind: telemetry.KindAgent, Agent: i, Checks: a.Checks()}
 		if s, ok := a.(storeSizer); ok {
@@ -557,88 +564,37 @@ func emitSyncFinal(tel *Telemetry, agents []sim.Agent, out Result) {
 	reg.Counter("discsp_cycles_total").Add(int64(out.Cycles))
 	reg.Counter("discsp_checks_total").Add(out.TotalChecks)
 	reg.Counter("discsp_messages_total").Add(out.Messages)
-	tel.Emit(telemetry.Event{
-		Kind:        telemetry.KindEnd,
-		Solved:      out.Solved,
-		Insoluble:   out.Insoluble,
-		Cycles:      out.Cycles,
-		MaxCCK:      out.MaxCCK,
-		TotalChecks: out.TotalChecks,
-		Messages:    out.Messages,
-	})
-	tel.EmitSnapshot()
-}
-
-// emitNetFinal closes an async or tcp run's telemetry stream with the end
-// verdict (including transport counters when any are nonzero) and a metrics
-// snapshot. The runtimes have already emitted their per-agent and per-link
-// events and folded their counters into the registry.
-func emitNetFinal(tel *Telemetry, out Result) {
-	if tel == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Kind:        telemetry.KindEnd,
-		Solved:      out.Solved,
-		Insoluble:   out.Insoluble,
-		TotalChecks: out.TotalChecks,
-		Messages:    out.Messages,
-		DurationUS:  out.Duration.Microseconds(),
-	}
-	if t := out.Transport(); !t.IsZero() {
-		ev.Transport = &t
-	}
-	tel.Emit(ev)
-	tel.EmitSnapshot()
 }
 
 // SolveAsync runs the selected algorithm on the goroutine-per-agent
 // asynchronous runtime. Cycle-based metrics do not apply; Duration,
 // Messages, and TotalChecks are reported instead.
 func SolveAsync(p *Problem, opts Options) (Result, error) {
-	init, err := opts.initial(p)
-	if err != nil {
-		return Result{}, err
-	}
 	fcfg, err := opts.faults()
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "async",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
+	return opts.solve(p, "async", func(makeAgent func(v csp.Var) sim.Agent, tracer *causal.Tracer) (Result, error) {
+		res, err := async.Run(p, makeAgent, async.Options{
+			Timeout:         opts.Timeout,
+			MaxJitter:       opts.MaxJitter,
+			Seed:            opts.InitialSeed,
+			Faults:          fcfg,
+			WatchdogCadence: opts.WatchdogCadence,
+			Telemetry:       opts.Telemetry,
+			Causal:          tracer,
 		})
-	}
-	tracer := opts.causalStart(p, "async")
-	res, err := async.Run(p, withCausal(tracer, opts.makeAgent(p, init)), async.Options{
-		Timeout:         opts.Timeout,
-		MaxJitter:       opts.MaxJitter,
-		Seed:            opts.InitialSeed,
-		Faults:          fcfg,
-		WatchdogCadence: opts.WatchdogCadence,
-		Telemetry:       opts.Telemetry,
-		Causal:          tracer,
+		out := Result{
+			Solved:      res.Solved,
+			Insoluble:   res.Insoluble,
+			Assignment:  res.Assignment,
+			TotalChecks: res.TotalChecks,
+			Messages:    res.Messages,
+			Duration:    res.Duration,
+		}
+		out.setTransport(res.Transport)
+		return out, err
 	})
-	out := Result{
-		Solved:               res.Solved,
-		Insoluble:            res.Insoluble,
-		Assignment:           res.Assignment,
-		TotalChecks:          res.TotalChecks,
-		Messages:             res.Messages,
-		Duration:             res.Duration,
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
-	}
-	emitNetFinal(opts.Telemetry, out)
-	opts.causalEnd(out)
-	return out, err
 }
 
 // wireCodec parses Options.WireCodec ("" = binary).
@@ -659,10 +615,6 @@ func (o Options) wireCodec() (wire.Codec, error) {
 // (binary by default, JSON fallback; see Options.WireCodec) and coalesce
 // into batches unless Options.WireNoBatch.
 func SolveTCP(p *Problem, opts Options) (Result, error) {
-	init, err := opts.initial(p)
-	if err != nil {
-		return Result{}, err
-	}
 	fcfg, err := opts.faults()
 	if err != nil {
 		return Result{}, err
@@ -671,57 +623,37 @@ func SolveTCP(p *Problem, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "tcp",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
+	return opts.solve(p, "tcp", func(makeAgent func(v csp.Var) sim.Agent, tracer *causal.Tracer) (Result, error) {
+		res, err := netrun.Run(p, makeAgent, netrun.Options{
+			Timeout:         opts.Timeout,
+			Faults:          fcfg,
+			WatchdogCadence: opts.WatchdogCadence,
+			Telemetry:       opts.Telemetry,
+			Causal:          tracer,
+			CausalRelay:     opts.Causal != nil,
+			Shards:          opts.TCPShards,
+			Codec:           codec,
+			NoBatch:         opts.WireNoBatch,
+			Checksum:        opts.WireChecksum,
+			Heartbeat:       opts.TCPHeartbeat,
+			DeadPeerTimeout: opts.TCPDeadPeerTimeout,
+			ReconnectGrace:  opts.TCPReconnectGrace,
+			Listen:          opts.TCPListen,
+			External:        opts.TCPExternal,
+			OnListen:        opts.TCPOnListen,
 		})
-	}
-	tracer := opts.causalStart(p, "tcp")
-	res, err := netrun.Run(p, withCausal(tracer, opts.makeAgent(p, init)), netrun.Options{
-		Timeout:         opts.Timeout,
-		Faults:          fcfg,
-		WatchdogCadence: opts.WatchdogCadence,
-		Telemetry:       opts.Telemetry,
-		Causal:          tracer,
-		CausalRelay:     opts.Causal != nil,
-		Shards:          opts.TCPShards,
-		Codec:           codec,
-		NoBatch:         opts.WireNoBatch,
-		Checksum:        opts.WireChecksum,
-		Heartbeat:       opts.TCPHeartbeat,
-		DeadPeerTimeout: opts.TCPDeadPeerTimeout,
-		ReconnectGrace:  opts.TCPReconnectGrace,
-		Listen:          opts.TCPListen,
-		External:        opts.TCPExternal,
-		OnListen:        opts.TCPOnListen,
+		out := Result{
+			Solved:      res.Solved,
+			Insoluble:   res.Insoluble,
+			Assignment:  res.Assignment,
+			TotalChecks: res.TotalChecks,
+			Messages:    res.Messages,
+			Duration:    res.Duration,
+			BinaryConns: res.BinaryConns,
+		}
+		out.setTransport(res.Transport)
+		return out, err
 	})
-	out := Result{
-		Solved:               res.Solved,
-		Insoluble:            res.Insoluble,
-		Assignment:           res.Assignment,
-		TotalChecks:          res.TotalChecks,
-		Messages:             res.Messages,
-		Duration:             res.Duration,
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
-		Reconnects:           res.Reconnects,
-		HeartbeatTimeouts:    res.HeartbeatTimeouts,
-		CorruptFrames:        res.CorruptFrames,
-		BytesSent:            res.BytesSent,
-		BytesRecv:            res.BytesRecv,
-		BatchedFrames:        res.BatchedFrames,
-		BinaryConns:          res.BinaryConns,
-	}
-	emitNetFinal(opts.Telemetry, out)
-	opts.causalEnd(out)
-	return out, err
 }
 
 // TCPWorkerOptions configures SolveTCPWorker.
@@ -742,92 +674,58 @@ type TCPWorkerOptions struct {
 	// startup (the worker may launch before the hub listens) and when
 	// redialing after a severed connection; 0 means 15s.
 	ConnectTimeout time.Duration
-	// Checksum requests the CRC32C frame trailer on this worker's binary
-	// connections; it takes effect only when the hub armed WireChecksum
-	// too.
-	Checksum bool
-	// Heartbeat is the idle-link beacon period (0 = 500ms, negative
-	// disables) and DeadPeerTimeout the hub-silence bound after which a
-	// node abandons its connection and redials (0 = 4× the heartbeat).
-	// They should match the hub's settings.
-	Heartbeat       time.Duration
-	DeadPeerTimeout time.Duration
-	// Causal, when non-nil, traces this worker's nodes: spans and stamped
-	// trace IDs are written to the stream, and each node's hello requests
-	// trace-ID propagation (the hub confirms when its run set Causal).
-	// Worker streams carry no verdict — the hub's stream does — but are
-	// closed with an end marker so dcsptrace accepts them. Each worker
-	// process's stream is self-consistent on its own.
-	Causal *Telemetry
 }
 
 // TCPWorkerStats reports one worker process's transport totals after
 // SolveTCPWorker returns — the worker-side view of the reliability counters
-// the hub's Result carries for in-process runs.
-type TCPWorkerStats struct {
-	// Reconnects counts node sessions re-established after a severed
-	// connection.
-	Reconnects int64
-	// Retransmits counts frames resent past a lost ack.
-	Retransmits int64
-	// DuplicatesSuppressed counts deliveries absorbed by the dedup layer.
-	DuplicatesSuppressed int64
-	// CorruptFrames counts inbound frames rejected by the CRC32C trailer
-	// and recovered by hub-side retransmission.
-	CorruptFrames int64
-}
+// the hub's Result carries for in-process runs: node sessions re-established
+// after a severed connection, frames resent past a lost ack, deliveries
+// absorbed by the dedup layer, and inbound frames rejected by the CRC32C
+// trailer.
+type TCPWorkerStats = netrun.WorkerStats
 
 // SolveTCPWorker runs agent nodes for a subset of p's variables against an
 // external SolveTCP hub (one started with Options.TCPExternal — in another
 // goroutine, process, or machine; cmd/dcspnode is the process form). opts
 // supplies the algorithm configuration, which must match the hub's problem,
-// and the wire options (WireCodec, WireNoBatch) for this worker's
-// connections. It blocks until the hub finishes the run and tears the
-// connections down; the hub's SolveTCP result carries the verdict, and the
-// returned stats carry this worker's transport totals. Workers survive a
-// hub that is not yet listening (dial retry until ConnectTimeout) and
-// connections severed mid-solve (redial, re-hello, and replay).
+// and the wire and liveness options (WireCodec, WireNoBatch, WireChecksum,
+// TCPHeartbeat, TCPDeadPeerTimeout) for this worker's connections. It
+// blocks until the hub finishes the run and tears the connections down;
+// the hub's SolveTCP result carries the verdict, and the returned stats
+// carry this worker's transport totals. Workers survive a hub that is not
+// yet listening (dial retry until ConnectTimeout) and connections severed
+// mid-solve (redial, re-hello, and replay).
+//
+// The hub's stream carries the run's telemetry, so opts.Telemetry is
+// ignored. opts.Causal traces this worker's nodes: spans and stamped trace
+// IDs go to that stream, and each node's hello requests trace-ID
+// propagation (the hub confirms when its run set Causal). A worker stream
+// carries no verdict but is closed with an end marker so dcsptrace accepts
+// it; each worker's stream is self-consistent on its own.
 func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStats, error) {
-	init, err := opts.initial(p)
-	if err != nil {
-		return TCPWorkerStats{}, err
-	}
 	codec, err := opts.wireCodec()
 	if err != nil {
 		return TCPWorkerStats{}, err
 	}
-	var tracer *causal.Tracer
-	if w.Causal != nil {
-		w.Causal.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "tcp",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
+	opts.Telemetry = nil
+	var st TCPWorkerStats
+	_, err = opts.solve(p, "tcp", func(makeAgent func(v csp.Var) sim.Agent, tracer *causal.Tracer) (Result, error) {
+		var err error
+		st, err = netrun.RunWorker(p, makeAgent, netrun.WorkerOptions{
+			Addrs:           w.Addrs,
+			Vars:            w.Vars,
+			Codec:           codec,
+			NoBatch:         opts.WireNoBatch,
+			DrainWindow:     w.DrainWindow,
+			ConnectTimeout:  w.ConnectTimeout,
+			Checksum:        opts.WireChecksum,
+			Heartbeat:       opts.TCPHeartbeat,
+			DeadPeerTimeout: opts.TCPDeadPeerTimeout,
+			Causal:          tracer,
 		})
-		tracer = causal.New(w.Causal, p)
-	}
-	st, err := netrun.RunWorker(p, withCausal(tracer, opts.makeAgent(p, init)), netrun.WorkerOptions{
-		Addrs:           w.Addrs,
-		Vars:            w.Vars,
-		Codec:           codec,
-		NoBatch:         opts.WireNoBatch,
-		DrainWindow:     w.DrainWindow,
-		ConnectTimeout:  w.ConnectTimeout,
-		Checksum:        w.Checksum,
-		Heartbeat:       w.Heartbeat,
-		DeadPeerTimeout: w.DeadPeerTimeout,
-		Causal:          tracer,
+		return Result{}, err
 	})
-	if w.Causal != nil {
-		w.Causal.Emit(telemetry.Event{Kind: telemetry.KindEnd})
-	}
-	return TCPWorkerStats{
-		Reconnects:           st.Reconnects,
-		Retransmits:          st.Retransmits,
-		DuplicatesSuppressed: st.DuplicatesSuppressed,
-		CorruptFrames:        st.CorruptFrames,
-	}, err
+	return st, err
 }
 
 // IsTimeout reports whether err is (or wraps) a runtime deadline expiry

@@ -58,6 +58,22 @@ func (r Result) Transport() TransportCounters {
 	}
 }
 
+// setTransport copies a runtime's counter block into r's transport fields,
+// the inverse of Transport.
+func (r *Result) setTransport(t TransportCounters) {
+	r.Retransmits = t.Retransmits
+	r.DuplicatesSuppressed = t.DuplicatesSuppressed
+	r.Restarts = t.Restarts
+	r.Partitioned = t.Partitioned
+	r.PartitionHeals = t.PartitionHeals
+	r.Reconnects = t.Reconnects
+	r.HeartbeatTimeouts = t.HeartbeatTimeouts
+	r.CorruptFrames = t.CorruptFrames
+	r.BytesSent = t.BytesSent
+	r.BytesRecv = t.BytesRecv
+	r.BatchedFrames = t.BatchedFrames
+}
+
 // AlgorithmName returns the run's label in the tables' naming scheme:
 // "AWC-Rslv", "AWC-3rdRslv", "DB", "ABT", ...
 func (o Options) AlgorithmName() string {

@@ -8,7 +8,6 @@ import (
 	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 // hardColoring returns a 3-coloring instance dense enough that AWC actually
@@ -22,28 +21,25 @@ func hardColoring(t *testing.T) *discsp.Problem {
 	return col.Problem
 }
 
-// runSyncWithTrace runs Solve and captures the v1 trace byte stream, the
-// most sensitive observable a synchronous run has: every per-cycle message
-// and check count, byte for byte.
-func runSyncWithTrace(t *testing.T, p *discsp.Problem, opts discsp.Options) (discsp.Result, []byte) {
+// runSyncWithTrace runs Solve and captures the per-cycle event sequence
+// Options.Trace observes, the most sensitive observable a synchronous run
+// has: every cycle's message and check counts and its solution flag.
+func runSyncWithTrace(t *testing.T, p *discsp.Problem, opts discsp.Options) (discsp.Result, []discsp.CycleEvent) {
 	t.Helper()
-	var buf bytes.Buffer
-	rec := trace.NewRecorder(&buf)
-	opts.Trace = rec.Hook()
+	var events []discsp.CycleEvent
+	opts.Trace = func(ev discsp.CycleEvent) { events = append(events, ev) }
 	res, err := discsp.Solve(p, opts)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if err := rec.Flush(); err != nil {
-		t.Fatalf("trace flush: %v", err)
-	}
-	return res, buf.Bytes()
+	return res, events
 }
 
 // TestTelemetryInertSync pins the tentpole's non-negotiable: attaching the
 // full telemetry bundle (registry + event stream) to a synchronous run
-// changes nothing — cycles, maxcck, totals, the assignment, and the exact
-// trace bytes are bit-identical with telemetry on and off, across learners.
+// changes nothing — cycles, maxcck, totals, the assignment, and every
+// per-cycle trace event are identical with telemetry on and off, across
+// learners.
 func TestTelemetryInertSync(t *testing.T) {
 	p := hardColoring(t)
 	learners := []struct {
@@ -88,8 +84,8 @@ func TestTelemetryInertSync(t *testing.T) {
 			if !reflect.DeepEqual(off.MessagesByType, on.MessagesByType) {
 				t.Errorf("message profile changed: off=%v on=%v", off.MessagesByType, on.MessagesByType)
 			}
-			if !bytes.Equal(offTrace, onTrace) {
-				t.Errorf("trace bytes changed with telemetry on (%d vs %d bytes)", len(offTrace), len(onTrace))
+			if !reflect.DeepEqual(offTrace, onTrace) {
+				t.Errorf("cycle trace changed with telemetry on (%d vs %d cycles)", len(offTrace), len(onTrace))
 			}
 
 			events, err := telemetry.Read(&stream)
