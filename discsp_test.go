@@ -3,8 +3,10 @@ package discsp_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"github.com/discsp/discsp"
+	"github.com/discsp/discsp/internal/telemetry"
 )
 
 func chain(t *testing.T, n int, colors int) *discsp.Problem {
@@ -229,6 +231,82 @@ func TestSolvePartitioned(t *testing.T) {
 	}
 	if !inst.Problem.IsSolution(res.Assignment) {
 		t.Fatalf("assignment invalid")
+	}
+}
+
+// TestSolveTCPExternalWorker drives the two halves of a multi-process run
+// in one process: a SolveTCP hub with TCPExternal and a SolveTCPWorker that
+// owns every variable, both with WireChecksum on and the worker traced.
+// The hub damages nearly every first copy of a frame, so the worker rejects
+// frames by CRC only if its checksum option took effect. The hub must solve
+// over the worker's binary connections, and the worker's causal stream
+// must be complete on its own.
+func TestSolveTCPExternalWorker(t *testing.T) {
+	inst, err := discsp.GenerateColoring(15, 40, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make(chan []string, 1)
+	hubOpts := discsp.Options{
+		InitialSeed:  11,
+		Timeout:      30 * time.Second,
+		FaultProfile: "corrupt=0.99,attempts=1",
+		WireChecksum: true,
+		TCPExternal:  true,
+		TCPOnListen:  func(a []string) { addrs <- a },
+	}
+	type hubOut struct {
+		res discsp.Result
+		err error
+	}
+	hub := make(chan hubOut, 1)
+	go func() {
+		res, err := discsp.SolveTCP(inst.Problem, hubOpts)
+		hub <- hubOut{res, err}
+	}()
+
+	var stream bytes.Buffer
+	workerOpts := discsp.Options{
+		InitialSeed:  11,
+		WireChecksum: true,
+		Causal:       discsp.NewTelemetry(nil, &stream),
+	}
+	vars := make([]int, inst.Problem.NumVars())
+	for i := range vars {
+		vars[i] = i
+	}
+	var a []string
+	select {
+	case a = <-addrs:
+	case h := <-hub:
+		t.Fatalf("hub returned before listening: %v", h.err)
+	}
+	st, err := discsp.SolveTCPWorker(inst.Problem, workerOpts, discsp.TCPWorkerOptions{Addrs: a, Vars: vars})
+	if err != nil {
+		t.Fatalf("SolveTCPWorker: %v", err)
+	}
+	if st.CorruptFrames == 0 {
+		t.Errorf("worker rejected no damaged frame: checksum not negotiated (%+v)", st)
+	}
+	h := <-hub
+	if h.err != nil {
+		t.Fatalf("SolveTCP hub: %v", h.err)
+	}
+	if !h.res.Solved || !inst.Problem.IsSolution(h.res.Assignment) {
+		t.Fatalf("hub did not solve: %+v", h.res)
+	}
+	if h.res.BinaryConns == 0 {
+		t.Errorf("no binary connections: %+v", h.res)
+	}
+	if err := workerOpts.Causal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.Read(&stream)
+	if err != nil {
+		t.Fatalf("worker stream unreadable: %v", err)
+	}
+	if err := telemetry.CheckComplete(events); err != nil {
+		t.Fatalf("worker stream incomplete: %v", err)
 	}
 }
 

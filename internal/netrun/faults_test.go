@@ -143,6 +143,42 @@ func TestNetrunCrashRestartAWC(t *testing.T) {
 	}
 }
 
+// TestNetrunCrashBehindPermanentCut pins a scheduled crash-restart that a
+// never-healing partition makes unreachable: every neighbor of the crash
+// node sits across the cut, so no frame ever reaches it, it never takes the
+// step that would crash it, and the verdict must not wait for that crash.
+// The initial assignment is already a solution, so the run solves at once.
+func TestNetrunCrashBehindPermanentCut(t *testing.T) {
+	const n = 6
+	p, init := ringProblem(t, n)
+	var fcfg *faults.Config
+	victim := -1
+	for seed := int64(1); victim < 0 && seed < 1000; seed++ {
+		fcfg = &faults.Config{Seed: seed, Partitions: []faults.Partition{{At: 0}}}
+		inj := faults.New(*fcfg)
+		for v := 0; v < n; v++ {
+			if s := inj.Side(0, v); inj.Side(0, (v+1)%n) != s && inj.Side(0, (v+n-1)%n) != s {
+				victim = v
+				break
+			}
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no seed isolates a ring node behind the cut")
+	}
+	fcfg.Crashes = []faults.Crash{{Agent: victim, AfterSteps: 0, Restart: true}}
+	res, err := Run(p, awcMaker(p, init), Options{Timeout: 10 * time.Second, Faults: fcfg})
+	if err != nil {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if !res.Solved || !p.IsSolution(res.Assignment) {
+		t.Fatalf("not solved: %+v", res)
+	}
+	if res.Restarts != 0 {
+		t.Errorf("restarts = %d, want 0: node %d never receives a frame", res.Restarts, victim)
+	}
+}
+
 func TestNetrunCrashRestartABTInsoluble(t *testing.T) {
 	// K4 with 3 colors: the insolubility proof must survive a node crash.
 	// The restarted node resumes from its checkpoint with its nogood store
