@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/async/... ./internal/netrun/... ./internal/multi/... \
 
 .PHONY: all build test vet fmt-check race chaos chaos-proc telemetry trace \
         bench-smoke bench-build bench-json bench-gate bench-warm bench-wire scale-smoke \
-        service-smoke soak staticcheck govulncheck ci
+        service-smoke soak stress staticcheck govulncheck ci
 
 # The paired (ref vs dense) benchmarks bench-json compares.
 BENCH_PAIRED = BenchmarkProbeViewCheckLoop|BenchmarkStoreAddPruning|BenchmarkResolventDerivation|BenchmarkTable1Representations
@@ -171,6 +171,15 @@ bench-warm:
 # seeds. The short ungated slice runs in every `make test`.
 soak:
 	RETENTION_SOAK=1 $(GO) test -race -timeout 40m -run 'TestRetentionSoak' ./internal/experiments/
+
+# The nightly flake burn-down: the fault, network, experiment-harness and
+# service suites twenty times each in shuffled order, then a race-detector
+# slice of the network and fault packages five times. CI runs it on the
+# schedule only (the stress job); it is not part of `make ci`.
+STRESS_PKGS = ./internal/netrun/ ./internal/faults/ ./internal/experiments/ ./internal/service/
+stress:
+	$(GO) test -count=20 -shuffle=on -timeout 30m $(STRESS_PKGS)
+	$(GO) test -race -count=5 -shuffle=on -timeout 30m ./internal/netrun/ ./internal/faults/
 
 # Static analysis beyond vet. CI installs the tools on the runner; locally
 # they are skipped with a notice when not installed (this repo's build

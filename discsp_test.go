@@ -334,3 +334,24 @@ func TestSolveTCP(t *testing.T) {
 		t.Fatalf("assignment invalid")
 	}
 }
+
+// TestSolveTCPHardInstanceClean solves a hard 90-variable coloring (the
+// instance `dcspgen -family d3c -n 90 -seed 3` writes) over TCP on a clean
+// network. A live connection loses nothing, so the transport must resend
+// nothing and the receivers must discard nothing.
+func TestSolveTCPHardInstanceClean(t *testing.T) {
+	inst, err := discsp.GenerateColoring(90, 243, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := discsp.SolveTCP(inst.Problem, discsp.Options{InitialSeed: 1, Timeout: 2 * time.Minute})
+	if err != nil {
+		t.Fatalf("SolveTCP: %v", err)
+	}
+	if !res.Solved || !inst.Problem.IsSolution(res.Assignment) {
+		t.Fatalf("not solved over TCP: %+v", res)
+	}
+	if res.Retransmits != 0 || res.DuplicatesSuppressed != 0 {
+		t.Errorf("clean network: retransmits=%d duplicates=%d, want 0 and 0", res.Retransmits, res.DuplicatesSuppressed)
+	}
+}

@@ -511,9 +511,9 @@ func stampBatch(at *causal.AgentTracer, out []sim.Message) {
 }
 
 // route delivers messages, applying the fault schedule and optional jitter.
-// Each logical message is counted in flight exactly once: a drop shows up as
-// retransmission-backoff delay (the injector bounds attempts, so the first
-// successful attempt is computable at send time), and a duplicate is an
+// Each logical message is counted in flight exactly once: a drop streak
+// shows up as its backoff delay (faults.Injector.DropStreak, the loss model
+// the TCP hub shares), and a duplicate is an
 // extra scheduled copy that the dedup layer discards at arrival. Per-link
 // FIFO is preserved by clamping each arrival to the link's previous one.
 func (rt *runtime) route(out []sim.Message) {
@@ -539,13 +539,9 @@ func (rt *runtime) route(out []sim.Message) {
 			seq := rt.linkSeq[key] + 1
 			rt.linkSeq[key] = seq
 			from, to := int(m.From()), int(m.To())
-			attempt := 0
-			for rt.inj.Dropped(from, to, seq, attempt) {
-				delay += faults.Backoff(attempt)
-				attempt++
-			}
+			streak, attempt := rt.inj.DropStreak(from, to, seq, 0)
 			rt.retransmits.Add(int64(attempt))
-			delay += rt.inj.Delay(from, to, seq, 0)
+			delay += streak + rt.inj.Delay(from, to, seq, 0)
 			if rt.inj.Duplicated(from, to, seq) {
 				hasDup = true
 				dupAt = now.Add(rt.inj.Delay(from, to, seq, 1))

@@ -1,8 +1,8 @@
 // Package backoff is the one exponential-backoff implementation shared by
-// every retry surface in the tree: the wire layer's retransmission schedule
-// (wire.SendLink), the solver daemon's transient-failure retries
-// (internal/service), the fault injector's restart delays (internal/faults),
-// and the TCP node's dial/reconnect loop (internal/netrun).
+// every retry surface in the tree: the fault injector's drop-streak delays
+// (internal/faults), the solver daemon's transient-failure retries
+// (internal/service), and the TCP node's dial/reconnect loop
+// (internal/netrun).
 //
 // A Policy is a pure value — no goroutines, no clocks, no PRNG state — so
 // callers that need determinism (the fault injector, the reliable-transport

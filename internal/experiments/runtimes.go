@@ -162,9 +162,9 @@ var transportWidths = []int{8, 8, 9, 11, 6, 10, 11, 7, 10, 10, 0}
 
 // FprintRuntimes renders the comparison as an aligned table, transport
 // counters included via the shared telemetry.TransportColumns /
-// Transport.Values pairing. The counters are informative even on a clean
-// network: the tcp runtime retransmits whenever congestion delays an ack
-// past the backoff base, and the dedup layer absorbs the copies.
+// Transport.Values pairing. On a clean network the reliability counters
+// stay zero on every runtime: frames are resent only after an injected
+// fault or a lost connection, never on a timer.
 func FprintRuntimes(w io.Writer, results []RuntimeResult) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  %-6s %-7s %-8s %-10s %-12s", "rt", "solved", "cycles", "messages", "duration")

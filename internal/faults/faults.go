@@ -29,17 +29,17 @@ type Config struct {
 	// identical decisions.
 	Seed int64
 	// Drop is the per-attempt probability of losing one delivery of a
-	// message. Retransmissions are fresh attempts, so a message's loss
-	// probability after k attempts is Drop^k; MaxAttempts bounds the streak.
+	// message. The runtimes deliver after the streak's delay instead (see
+	// DropStreak); MaxAttempts bounds the streak.
 	Drop float64
 	// Duplicate is the per-message probability of delivering one extra copy.
 	Duplicate float64
 	// Corrupt is the per-attempt probability of delivering one copy of a
 	// message with its payload bit-flipped instead of intact. On connections
 	// that negotiated the CRC32C trailer the receiver detects and drops the
-	// frame (counting it); elsewhere the corruption degrades to a drop —
-	// either way the retransmit machinery recovers, and MaxAttempts bounds
-	// the streak exactly like Drop.
+	// frame (counting it); elsewhere the corruption degrades to a loss.
+	// Either way a replay recovers it, and MaxAttempts bounds the streak
+	// exactly like Drop.
 	Corrupt float64
 	// MaxDelay bounds the extra delivery delay injected per copy; each copy
 	// is delayed by a deterministic duration in [0, MaxDelay). Zero injects
@@ -61,10 +61,10 @@ type Config struct {
 
 // Partition is one network partition window, measured as offsets from the
 // run's start. While the window is open, every link between agents hashed
-// to different sides is cut: the runtimes withhold crossing traffic (the
-// reliable transport keeps retransmitting underneath) and drain it when the
-// window heals. A window with Dur <= 0 never heals; runs that need the cut
-// links then end at the stall watchdog, not at quiescence.
+// to different sides is cut: the runtimes hold crossing traffic at the cut
+// and deliver it when the window heals. A window with Dur <= 0 never heals;
+// runs that need the cut links then end at the stall watchdog, not at
+// quiescence.
 type Partition struct {
 	// At is the window's start, as an offset from the run's start.
 	At time.Duration
@@ -95,13 +95,12 @@ const DefaultMaxAttempts = 8
 // DefaultRestartDelay is the downtime when Crash.RestartDelay is 0.
 const DefaultRestartDelay = 5 * time.Millisecond
 
-// Backoff bounds for retransmission scheduling; shared by the netrun node
-// transport and the async runtime's loss model so both recover on the same
-// curve.
+// Backoff bounds of the loss model, shared by both runtimes through
+// DropStreak: a dropped attempt costs the delay of one backoff step.
 const (
-	// BackoffBase is the delay before the first retransmission.
+	// BackoffBase is the delay a first dropped attempt adds.
 	BackoffBase = 2 * time.Millisecond
-	// BackoffCap is the retransmission delay ceiling.
+	// BackoffCap is the per-attempt delay ceiling.
 	BackoffCap = 64 * time.Millisecond
 )
 
@@ -109,6 +108,17 @@ const (
 // consecutive failures: BackoffBase << attempt, capped at BackoffCap.
 func Backoff(attempt int) time.Duration {
 	return backoff.Policy{Base: BackoffBase, Cap: BackoffCap}.Delay(attempt)
+}
+
+// DropStreak walks the drop streak of message seq on the from→to link from
+// attempt on: it returns the first attempt delivered (MaxAttempts bounds
+// the walk) and the summed Backoff of the dropped ones before it.
+func (in *Injector) DropStreak(from, to int, seq int64, attempt int) (delay time.Duration, delivered int) {
+	for in.Dropped(from, to, seq, attempt) {
+		delay += Backoff(attempt)
+		attempt++
+	}
+	return delay, attempt
 }
 
 // Injector answers fault-schedule queries. A nil *Injector is a valid
@@ -155,9 +165,6 @@ func (in *Injector) Corrupted(from, to int, seq int64, attempt int) bool {
 	}
 	return in.rand01(from, to, seq, int64(attempt), saltCorrupt) < in.cfg.Corrupt
 }
-
-// AnyCorrupt reports whether the schedule can corrupt frames at all.
-func (in *Injector) AnyCorrupt() bool { return in != nil && in.cfg.Corrupt > 0 }
 
 // Duplicated reports whether message seq on the from→to link is delivered
 // twice.

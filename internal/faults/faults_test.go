@@ -144,11 +144,8 @@ func TestCorruptSchedule(t *testing.T) {
 		t.Fatal("drop and corrupt schedules are identical")
 	}
 	var nilIn *Injector
-	if nilIn.Corrupted(0, 1, 1, 0) || nilIn.AnyCorrupt() {
+	if nilIn.Corrupted(0, 1, 1, 0) {
 		t.Fatal("nil injector corrupts frames")
-	}
-	if !New(cfg).AnyCorrupt() {
-		t.Fatal("AnyCorrupt false with Corrupt set")
 	}
 }
 
@@ -169,6 +166,53 @@ func TestBackoff(t *testing.T) {
 	}
 	if Backoff(20) != BackoffCap {
 		t.Fatalf("backoff not capped: %v", Backoff(20))
+	}
+}
+
+// TestDropStreak pins the loss model both runtimes share: the streak is a
+// pure function of (seed, link, seq, attempt), it never walks past
+// MaxAttempts, and its delay is the summed Backoff of exactly the attempts
+// Dropped reports lost.
+func TestDropStreak(t *testing.T) {
+	cfg := Config{Seed: 21, Drop: 0.6, MaxAttempts: 5}
+	a, b := New(cfg), New(cfg)
+	streaks := 0
+	for seq := int64(1); seq <= 300; seq++ {
+		for start := 0; start <= cfg.MaxAttempts+1; start++ {
+			delay, got := a.DropStreak(2, 7, seq, start)
+			if d2, g2 := b.DropStreak(2, 7, seq, start); d2 != delay || g2 != got {
+				t.Fatalf("seq %d from %d: (%v, %d) vs (%v, %d) on an equal injector", seq, start, delay, got, d2, g2)
+			}
+			if d2, g2 := a.DropStreak(2, 7, seq, start); d2 != delay || g2 != got {
+				t.Fatalf("seq %d from %d: repeated call gave (%v, %d), want (%v, %d)", seq, start, d2, g2, delay, got)
+			}
+			if got < start || got > max(start, cfg.MaxAttempts) {
+				t.Fatalf("seq %d from %d: delivered attempt %d outside [%d, %d]", seq, start, got, start, max(start, cfg.MaxAttempts))
+			}
+			var want time.Duration
+			for at := start; at < got; at++ {
+				if !a.Dropped(2, 7, seq, at) {
+					t.Fatalf("seq %d: attempt %d inside the streak is not dropped", seq, at)
+				}
+				want += Backoff(at)
+			}
+			if a.Dropped(2, 7, seq, got) {
+				t.Fatalf("seq %d: delivered attempt %d is dropped", seq, got)
+			}
+			if delay != want {
+				t.Fatalf("seq %d from %d: delay %v, want the summed backoff %v", seq, start, delay, want)
+			}
+			if got > start {
+				streaks++
+			}
+		}
+	}
+	if streaks == 0 {
+		t.Fatal("no drop streaks at 60% drop")
+	}
+	var nilIn *Injector
+	if d, got := nilIn.DropStreak(0, 1, 1, 3); d != 0 || got != 3 {
+		t.Fatalf("nil injector streak = (%v, %d), want (0, 3)", d, got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/sim"
+	"github.com/discsp/discsp/internal/telemetry"
 )
 
 func insolubleTriangle(t *testing.T) *csp.Problem {
@@ -115,6 +117,51 @@ func TestNetrunAWCUnderDropAndDup(t *testing.T) {
 	}
 	if res.DuplicatesSuppressed == 0 {
 		t.Errorf("no duplicates suppressed at 30%% dup: %+v", res)
+	}
+}
+
+// TestNetrunLinkRetransmitsSumToTotal pins the drop accounting: every
+// dropped attempt the hub turns into delay is counted once in the run's
+// Retransmits and once against its link, so on a drop-only run the link
+// events' retransmits sum to the total.
+func TestNetrunLinkRetransmitsSumToTotal(t *testing.T) {
+	inst, err := gen.Coloring(15, 35, 3, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := gen.RandomInitial(inst.Problem, 72)
+	var buf bytes.Buffer
+	tel := telemetry.NewRun(telemetry.NewRegistry(), &buf)
+	res, err := Run(inst.Problem, awcMaker(inst.Problem, init), Options{
+		Timeout:   60 * time.Second,
+		Faults:    &faults.Config{Seed: 4, Drop: 0.3},
+		Telemetry: tel,
+	})
+	if err != nil || !res.Solved {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if err := tel.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links, sum int64
+	for _, ev := range events {
+		if ev.Kind == telemetry.KindLink {
+			links++
+			sum += ev.Retransmits
+		}
+	}
+	if links == 0 {
+		t.Fatal("no link events")
+	}
+	if res.Retransmits == 0 {
+		t.Fatalf("no retransmits at 30%% drop: %+v", res)
+	}
+	if sum != res.Retransmits {
+		t.Errorf("link retransmits sum to %d, Result.Retransmits = %d", sum, res.Retransmits)
 	}
 }
 

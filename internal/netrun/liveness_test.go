@@ -41,6 +41,11 @@ type testProxy struct {
 	tripped   chan struct{}
 
 	bytes atomic.Int64 // total payload bytes observed, both directions
+	// damageUp, once set, flips the last byte of the next worker→hub
+	// chunk on a connection past its handshake. On a checksummed
+	// connection that byte ends a frame's CRC32C trailer, so the hub's
+	// reader rejects exactly that frame.
+	damageUp atomic.Bool
 }
 
 func newTestProxy(t *testing.T, target string) *testProxy {
@@ -79,17 +84,21 @@ func (p *testProxy) acceptLoop() {
 		p.accepted++
 		p.pipes = append(p.pipes, down, up)
 		p.mu.Unlock()
-		go p.pump(up, down, gen)
-		go p.pump(down, up, gen)
+		go p.pump(up, down, gen, true)
+		go p.pump(down, up, gen, false)
 	}
 }
 
-func (p *testProxy) pump(dst, src net.Conn, gen int) {
+func (p *testProxy) pump(dst, src net.Conn, gen int, up bool) {
 	buf := make([]byte, 32<<10)
+	var piped int
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			p.trip(p.bytes.Add(int64(n)))
+			if piped += n; up && piped > 256 && p.damageUp.CompareAndSwap(true, false) {
+				buf[n-1] ^= 0xff
+			}
 			p.mu.Lock()
 			hole := gen < p.silenced
 			p.mu.Unlock()
@@ -524,6 +533,63 @@ func TestCorruptWithoutChecksumDegradesToDrop(t *testing.T) {
 	}
 	if res.Retransmits == 0 {
 		t.Errorf("no retransmits; degraded drops were not recovered: %+v", res)
+	}
+}
+
+// TestHubRejectedFrameReplayed damages one worker→hub frame mid-solve on a
+// checksummed connection. The hub's reader must reject it by its CRC
+// trailer and ask the worker's node to replay every unacked window (and
+// restate its value), and the run must still end in a verified solution.
+func TestHubRejectedFrameReplayed(t *testing.T) {
+	inst, err := gen.Coloring(15, 35, 3, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := gen.RandomInitial(inst.Problem, 78)
+	maker := awcMaker(inst.Problem, init)
+
+	addrsCh := make(chan []string, 1)
+	type hubOut struct {
+		res Result
+		err error
+	}
+	hubCh := make(chan hubOut, 1)
+	go func() {
+		res, err := Run(inst.Problem, maker, Options{
+			Timeout:  30 * time.Second,
+			External: true,
+			Checksum: true,
+			OnListen: func(addrs []string) { addrsCh <- addrs },
+		})
+		hubCh <- hubOut{res, err}
+	}()
+	addrs := <-addrsCh
+	px := newTestProxy(t, addrs[0])
+	px.damageUp.Store(true)
+
+	st, werr := RunWorker(inst.Problem, maker, WorkerOptions{
+		Addrs:          []string{px.addr()},
+		Vars:           allVars(inst.Problem.NumVars()),
+		ConnectTimeout: 10 * time.Second,
+		Checksum:       true,
+	})
+	out := <-hubCh
+	if out.err != nil {
+		t.Fatalf("run: %v (res=%+v)", out.err, out.res)
+	}
+	if werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	if !out.res.Solved || !inst.Problem.IsSolution(out.res.Assignment) {
+		t.Fatalf("not solved after a hub-side CRC rejection: %+v", out.res)
+	}
+	if out.res.CorruptFrames == 0 {
+		t.Errorf("hub rejected no frame: %+v", out.res)
+	}
+	// Nothing else is lost on this run, so only the hub's request can
+	// have made the node replay its windows.
+	if st.Retransmits == 0 {
+		t.Errorf("node replayed nothing after the rejection: %+v", st)
 	}
 }
 

@@ -23,27 +23,27 @@
 // flushed whenever the sender's queue drains (see internal/wire).
 //
 // The transport is reliable end-to-end: nodes stamp per-link sequence
-// numbers (wire.SendLink), retransmit on exponential backoff until the
-// receiver's cumulative ack covers them, and dedup/reorder on arrival
-// (wire.RecvLink), restoring the FIFO-per-link, exactly-once delivery the
-// algorithms' correctness model (Yokoo et al.) assumes. The hub can play an
-// adversarial network (Options.Faults): deterministic drop, duplication,
-// and delay of algorithm frames, plus scheduled node crashes. The fault
-// schedule is keyed on logical links (from, to, seq, attempt), so it is
-// invariant under sharding and codec choice. A crash-scheduled node
-// checkpoints its durable state (agent snapshot, both halves of every
-// reliable link) before acknowledging each step, so a restarted node
-// re-registers with the hub, replays the checkpoint, and the run completes
-// exactly as on a clean network.
+// numbers (wire.SendLink), keep each frame until the receiver's cumulative
+// ack covers it, and dedup/reorder on arrival (wire.RecvLink), restoring
+// the FIFO-per-link, exactly-once delivery the algorithms' correctness
+// model (Yokoo et al.) assumes. Nothing resends on a timer: nodes replay
+// their unacked windows only after a loss — a re-registration or a CRC
+// rejection (wire.TypeReset with Resume). The hub can play an adversarial
+// network (Options.Faults): deterministic drop (modelled as delay, like the
+// async runtime), duplication, corruption, and delay of algorithm frames,
+// plus scheduled node crashes, keyed on logical links (from, to, seq,
+// attempt) so the schedule is invariant under sharding and codec choice. A
+// crash-scheduled node checkpoints its durable state before acknowledging
+// each step, so a restarted node re-registers with the hub, replays the
+// checkpoint, and the run completes exactly as on a clean network.
 //
 // Partition windows sever node-to-node traffic (algorithm frames and acks
 // both) across a seeded two-sided split: frames crossing an open cut are
-// held at the hub and drained when the window heals, with the nodes' dedup
-// layer absorbing the retransmitted copies. A partitioned node is *not* a
-// dead node — its socket stays up and it keeps retransmitting — so
-// partition traffic never takes the ErrNodeDown fail-fast path; a
-// never-healing cut instead strands messages in flight until the deadline,
-// which reports the stall watchdog's per-agent progress diagnosis.
+// held at the hub and delivered when the window heals. A partitioned node
+// is *not* a dead node — its socket stays up — so partition traffic never
+// takes the ErrNodeDown fail-fast path; a never-healing cut instead strands
+// messages in flight until the deadline, which reports the stall
+// watchdog's per-agent progress diagnosis.
 //
 // The hub detects termination out-of-band, like the other runtimes: nodes
 // attach a state report (current value, insolubility flag, processed
@@ -189,8 +189,8 @@ type Options struct {
 	ReconnectGrace time.Duration
 	// Checksum arms the CRC32C frame trailer on binary connections whose
 	// hello requests it: every steady-state frame carries a 4-byte trailer,
-	// and a frame damaged in flight is detected, dropped, and recovered by
-	// the sender's retransmission instead of corrupting the decode.
+	// and a frame damaged in flight is detected, dropped, and replayed
+	// instead of corrupting the decode.
 	Checksum bool
 	// OnListen, when non-nil, is called once with the bound relay addresses
 	// in shard order, before any node starts. Tests and in-process callers
@@ -218,14 +218,14 @@ type Result struct {
 	// Duration is the wall-clock run time.
 	Duration time.Duration
 
-	// Transport holds the reliability and wire counters. Retransmits and
-	// DuplicatesSuppressed are the nodes' resends past a late ack and
-	// discarded copies; Reconnects counts re-hellos (checkpoint restarts,
-	// worker redials, cold relaunches); HeartbeatTimeouts counts nodes
-	// silent past DeadPeerTimeout; CorruptFrames sums CRC32C rejections by
-	// the hub's readers and the in-process nodes (external workers count
-	// their own); Partitioned counts frames held or killed at a partition
-	// cut. BytesSent/BytesRecv count wire bytes crossing the hub's sockets
+	// Transport holds the reliability and wire counters. Retransmits counts
+	// dropped attempts (modelled as delay) plus frames replayed after a
+	// loss, DuplicatesSuppressed the discarded copies; Reconnects counts
+	// re-hellos (checkpoint restarts, worker redials, cold relaunches);
+	// HeartbeatTimeouts counts nodes silent past DeadPeerTimeout;
+	// CorruptFrames sums CRC32C rejections by the hub's readers and the
+	// in-process nodes (external workers count their own); Partitioned
+	// counts frames held or killed at a partition cut. BytesSent/BytesRecv count wire bytes crossing the hub's sockets
 	// (framing included) hub→nodes and nodes→hub, and BatchedFrames the
 	// frames that crossed them inside coalesced batches.
 	telemetry.Transport
@@ -233,15 +233,6 @@ type Result struct {
 	// binary; the rest fell back to JSON.
 	BinaryConns int64
 }
-
-// Reliable-transport tuning for the node loops. The base exceeds loopback
-// round-trip by orders of magnitude, so retransmissions fire only under
-// injected loss (or a genuinely dead peer), not under scheduling noise.
-const (
-	retransmitBase = 10 * time.Millisecond
-	retransmitCap  = 160 * time.Millisecond
-	retransmitTick = 5 * time.Millisecond
-)
 
 // Liveness defaults: the hub and every node beat their links each
 // defaultHeartbeat of idleness, a peer silent for 4 heartbeats is declared
@@ -262,10 +253,12 @@ const (
 
 // inFrame is one envelope arriving at the hub, tagged with the connection
 // it came in on (set by the shard read loops, consumed by the route loop to
-// register connections and count inter-shard forwards).
+// register connections and count inter-shard forwards). rejected marks a
+// frame the reader dropped for a failed checksum.
 type inFrame struct {
-	env wire.Envelope
-	src *relayConn
+	env      wire.Envelope
+	src      *relayConn
+	rejected bool
 }
 
 // nodeCounters aggregates transport statistics across all node goroutines
@@ -374,6 +367,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		conns:     make([]*relayConn, n),
 		processed: make([]int64, n),
 		seqHigh:   make(map[link]int64),
+		attempts:  make(map[attemptKey]int),
 		frames:    make(chan inFrame, n),
 		stop:      make(chan struct{}),
 		inj:       inj,
@@ -396,9 +390,6 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		latest:         make([]int64, n),
 		down:           make(map[int]time.Time),
 		resetPending:   make(map[[2]int]bool),
-	}
-	if inj != nil {
-		hub.attempts = make(map[attemptKey]int)
 	}
 	if inj.AnyCrash() && !opts.External && !permanentCut(inj) {
 		// External workers never crash on schedule: only in-process
@@ -535,7 +526,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 	acceptWG.Wait()
 	close(nodeErrs)
 
-	res.Retransmits = ctr.retransmits.Load()
+	res.Retransmits = ctr.retransmits.Load() + hub.retransmits
 	res.DuplicatesSuppressed = ctr.dups.Load()
 	res.Restarts = ctr.restarts.Load()
 	res.Reconnects = hub.reconnects
@@ -658,7 +649,7 @@ type hub struct {
 	// resetPending[{x, b}] marks that node x has not yet confirmed the
 	// link reset for cold-restarted node b; until the echo arrives, x's
 	// data and ack frames toward b still carry the old numbering and are
-	// dropped (x keeps retransmitting, so nothing is lost).
+	// dropped (x replays the renumbered window behind its echo).
 	resetPending map[[2]int]bool
 	reconnects   int64
 	hbTimeouts   int64
@@ -689,6 +680,7 @@ type hub struct {
 
 	start       time.Time // run start; partition windows are offsets from it
 	partitioned int64
+	retransmits int64 // dropped attempts the fault schedule turned into delay
 
 	cadence     time.Duration
 	tel         *telemetry.Run
@@ -866,6 +858,11 @@ func (h *hub) route(timeout time.Duration) (Result, error) {
 // handle processes one frame; done reports a terminal state. A non-nil
 // error means a node is unreachable and not coming back.
 func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
+	if f.rejected {
+		// What the damaged frame carried is still in its node's windows
+		// (a connection without a registered node has node -1: no-op).
+		return false, Result{}, h.askReplay(f.src.node, -1)
+	}
 	e := f.env
 	if e.From >= 0 && e.From < len(h.lastSeen) && e.Type != wire.TypeHello {
 		h.noteSeen(e.From)
@@ -890,6 +887,10 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 		// Pure liveness: the side effect is the noteSeen above.
 		return false, Result{}, nil
 	case wire.TypeReset:
+		if e.Resume {
+			// A node rejected a damaged frame of unknown origin.
+			return false, Result{}, h.replayToward(e.From)
+		}
 		// A node confirming it reset its links with a cold-restarted peer;
 		// its renumbered frames may flow again. The echo is not forwarded.
 		delete(h.resetPending, [2]int{e.From, e.To})
@@ -925,9 +926,8 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 		return false, Result{}, nil
 	case wire.TypeAck:
 		// Exempt from drop/dup/delay injection (control plane), but not
-		// from a partition: a cut severs acknowledgements like any other
-		// node-to-node traffic, which is what keeps the far side
-		// retransmitting until the heal.
+		// from a partition: a cut holds acknowledgements like any other
+		// node-to-node traffic until the heal.
 		h.noteForward(f)
 		if h.stale(f) || h.resetPending[[2]int{e.From, e.To}] {
 			// A dead incarnation's late ack, or an ack predating a link
@@ -948,9 +948,8 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 		}
 		return false, Result{}, h.send(e)
 	}
-	// Algorithm frame. Count each unique (link, seq) exactly once — before
-	// the drop decision, because a dropped message is still in flight (the
-	// sender retransmits it until acked).
+	// Algorithm frame. Count each unique (link, seq) exactly once, before
+	// the fault decisions: a damaged copy leaves it in flight.
 	if e.To < 0 || e.To >= len(h.conns) {
 		return false, Result{}, nil
 	}
@@ -958,8 +957,8 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 	if h.stale(f) || h.resetPending[[2]int{e.From, e.To}] {
 		// Late frames from a replaced connection, or frames stamped before
 		// the sender processed a link reset: the old numbering is
-		// meaningless now, and the live connection retransmits anything
-		// unacked — drop before any counting.
+		// meaningless now, and the sender replays anything unacked on its
+		// live connection — drop before any counting.
 		return false, Result{}, nil
 	}
 	k := link{from: e.From, to: e.To}
@@ -971,28 +970,32 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 			h.toward[e.To]++
 		}
 	} else if h.tel != nil && e.Seq > 0 {
-		// A seq at or below the link's high-water mark is a retransmitted
-		// (or injected-duplicate) copy arriving at the hub.
+		// A seq at or below the link's high-water mark is a replayed copy
+		// arriving at the hub.
 		h.linkRetrans[k]++
 	}
 	if h.partitionHold(e) {
 		return false, Result{}, nil
 	}
 	if h.inj != nil && e.Seq > 0 {
+		// Each arriving copy is the next attempt; a drop streak delays it
+		// instead of losing it. A damaged copy goes out at once.
 		ak := attemptKey{l: k, seq: e.Seq}
-		attempt := h.attempts[ak]
+		first := h.attempts[ak]
+		delay, attempt := h.inj.DropStreak(e.From, e.To, e.Seq, first)
 		h.attempts[ak] = attempt + 1
-		if h.inj.Dropped(e.From, e.To, e.Seq, attempt) {
-			return false, Result{}, nil
+		h.retransmits += int64(attempt - first)
+		if h.tel != nil {
+			h.linkRetrans[k] += int64(attempt - first)
 		}
 		if h.inj.Corrupted(e.From, e.To, e.Seq, attempt) {
 			return false, Result{}, h.corruptSend(e)
 		}
-		if attempt == 0 && h.inj.Duplicated(e.From, e.To, e.Seq) {
+		if first == 0 && h.inj.Duplicated(e.From, e.To, e.Seq) {
 			h.schedule(e, time.Now().Add(h.inj.Delay(e.From, e.To, e.Seq, 1)))
 		}
-		if d := h.inj.Delay(e.From, e.To, e.Seq, 0); d > 0 {
-			h.schedule(e, time.Now().Add(d))
+		if delay += h.inj.Delay(e.From, e.To, e.Seq, 0); delay > 0 {
+			h.schedule(e, time.Now().Add(delay))
 			return false, Result{}, nil
 		}
 	}
@@ -1077,10 +1080,14 @@ func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 		if old != nil && old != rc {
 			old.conn.Close()
 		}
+		// A cold relaunch resets the node's links everywhere; a resumed
+		// node's peers replay what its old socket or incarnation lost.
+		reset := h.replayToward
 		if !hello.Resume {
-			if err := h.coldReset(from); err != nil {
-				return err
-			}
+			reset = h.coldReset
+		}
+		if err := reset(from); err != nil {
+			return err
 		}
 	}
 	h.everRegistered[from] = true
@@ -1089,6 +1096,26 @@ func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 	delete(h.pending, from)
 	for _, q := range queued {
 		if err := h.send(q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// askReplay tells node x to resend its unacked window toward node b (every
+// window when b < 0), keeping the numbering.
+func (h *hub) askReplay(x, b int) error {
+	return h.send(wire.Envelope{Type: wire.TypeReset, From: b, To: x, Resume: true})
+}
+
+// replayToward asks every other registered node to replay toward b; the
+// unregistered ones replay every window when they register.
+func (h *hub) replayToward(b int) error {
+	for x, rc := range h.conns {
+		if x == b || rc == nil {
+			continue
+		}
+		if err := h.askReplay(x, b); err != nil {
 			return err
 		}
 	}
@@ -1179,7 +1206,7 @@ func (h *hub) downList(now time.Time) []int {
 // node's newest registration — a late read from a socket the node has
 // already replaced, whether or not the replacement is still up. Its
 // sequence numbering may predate a link reset, so data and acks from it
-// are dropped; the live connection retransmits anything that mattered.
+// are dropped; the node's new session replays anything that mattered.
 func (h *hub) stale(f inFrame) bool {
 	from := f.env.From
 	if f.src == nil || from < 0 || from >= len(h.latest) {
@@ -1301,13 +1328,12 @@ func (h *hub) observe(wd *progress.Watchdog, now time.Time) {
 }
 
 // partitionHold applies the partition schedule to one node-to-node frame.
-// A frame crossing an open cut is held at the hub until the window heals
-// (the nodes' dedup layer absorbs the retransmitted copies that pile up
-// behind it), or killed outright by a never-healing window — the message
-// stays in flight, so the run cannot quiesce and the deadline reports the
-// stall. It reports whether e was intercepted. This path is distinct from
-// a dead node: partitioned traffic never reaches send()'s ErrNodeDown
-// fail-fast, because the frame is parked before any socket write.
+// A frame crossing an open cut is held at the hub until the window heals,
+// or killed outright by a never-healing window — the message stays in
+// flight, so the run cannot quiesce and the deadline reports the stall.
+// It reports whether e was intercepted. This path is distinct from a dead
+// node: partitioned traffic never reaches send()'s ErrNodeDown fail-fast,
+// because the frame is parked before any socket write.
 func (h *hub) partitionHold(e wire.Envelope) bool {
 	if !h.inj.AnyPartition() {
 		return false
@@ -1374,8 +1400,8 @@ func (h *hub) survivableDown(node int, rc *relayConn) bool {
 // writeFailed classifies a non-Send write failure (welcome, codec switch,
 // flush) on a node's connection: survivable when the node can come back —
 // the connection is deregistered, frames queue for the re-hello, and
-// anything batched on the dead socket is recovered by sender retransmission
-// — fatal otherwise.
+// anything batched on the dead socket is replayed by its senders when the
+// node re-registers — fatal otherwise.
 func (h *hub) writeFailed(rc *relayConn, node int, err error) error {
 	if h.survivableDown(node, rc) {
 		return nil
@@ -1385,17 +1411,17 @@ func (h *hub) writeFailed(rc *relayConn, node int, err error) error {
 
 // corruptSend delivers a deliberately damaged copy of e: on a checksummed
 // connection the frame is written with one payload bit flipped, so the
-// receiver's CRC check rejects and counts it; without a trailer the damage
-// would be undetectable, so the fault degrades to a drop. Either way the
-// message stays in flight and the sender's retransmission recovers it.
+// receiver's CRC check rejects and counts it and asks for a replay.
+// Without a trailer the damage would be undetectable, so the fault
+// degrades to a loss and the hub asks the sender to replay at once.
 func (h *hub) corruptSend(e wire.Envelope) error {
 	rc := h.conns[e.To]
 	if rc == nil || !rc.crcOn {
-		return nil
+		return h.askReplay(e.From, e.To)
 	}
 	if err := rc.fw.WriteCorrupted(&e); err != nil {
 		if h.survivableDown(e.To, rc) {
-			return nil // not queued: the retransmission re-attempts
+			return nil // not queued: the re-registration's replay covers it
 		}
 		return fmt.Errorf("corrupt delivery to node %d failed: %v: %w", e.To, err, ErrNodeDown)
 	}

@@ -4,8 +4,8 @@
 // reliable links, crash checkpoints, and — for external workers —
 // reconnection: a node that loses its connection mid-solve redials on
 // jittered backoff, re-hellos with the resume flag, and replays its unacked
-// window, exactly like the in-process crash-restart path but with the state
-// still in memory.
+// windows, exactly like the in-process crash-restart path but with the
+// state still in memory.
 package netrun
 
 import (
@@ -202,14 +202,10 @@ func runNode(cfg nodeConfig, incarnation int) (bool, error) {
 	}
 	ctr := cfg.ctr
 	defer func() {
-		var rt, dp int64
-		for _, sl := range st.sendLinks {
-			rt += sl.Retransmits()
-		}
+		var dp int64
 		for _, rl := range st.recvLinks {
 			dp += rl.Dups()
 		}
-		ctr.retransmits.Add(rt)
 		ctr.dups.Add(dp)
 		ctr.corrupt.Add(st.corrupt)
 		// Final incarnation wins: a restarted agent restored its counter
@@ -236,9 +232,8 @@ func runNode(cfg nodeConfig, incarnation int) (bool, error) {
 					return false, fmt.Errorf("restore checkpoint: %w", err)
 				}
 			}
-			now := time.Now()
 			for peer, lst := range cp.send {
-				st.sendLinks[peer] = wire.RestoreSendLink(lst, retransmitBase, retransmitCap, now)
+				st.sendLinks[peer] = wire.RestoreSendLink(lst)
 			}
 			for peer, lst := range cp.recv {
 				st.recvLinks[peer] = wire.RestoreRecvLink(lst)
@@ -296,7 +291,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	sendLink := func(to int) *wire.SendLink {
 		sl, ok := st.sendLinks[to]
 		if !ok {
-			sl = wire.NewSendLink(retransmitBase, retransmitCap)
+			sl = wire.NewSendLink()
 			st.sendLinks[to] = sl
 		}
 		return sl
@@ -333,6 +328,22 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	fw := wire.NewFrameWriter(conn)
 	fr := wire.NewFrameReader(conn)
 	send := func(e wire.Envelope) error { return fw.Send(&e) }
+	// replay resends the unacked window toward peer to (every window when
+	// to < 0); receivers drop what already arrived.
+	replay := func(to int) error {
+		for peer, sl := range st.sendLinks {
+			if to >= 0 && peer != to {
+				continue
+			}
+			for _, e := range sl.Window() {
+				if err := send(e); err != nil {
+					return err
+				}
+				cfg.ctr.retransmits.Add(1)
+			}
+		}
+		return nil
+	}
 	writeState := func(processed int) error {
 		state := wire.Envelope{Type: wire.TypeState, From: int(v), Value: int(agent.CurrentValue()), Processed: processed}
 		if r, ok := agent.(sim.InsolubleReporter); ok && r.Insoluble() {
@@ -442,18 +453,12 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		fw.EnableBatching(batchMaxFrames, batchMaxBytes)
 	}
 
-	now := time.Now()
 	if st.initialized {
 		// The crash or disconnect may have eaten anything not yet acked:
-		// retransmit the whole unacked window, then report the current
-		// value with every processed frame the hub has not counted.
-		for _, sl := range st.sendLinks {
-			sl.MarkDue(now)
-			for _, e := range sl.Due(now) {
-				if err := send(e); err != nil {
-					return fail(err)
-				}
-			}
+		// replay every unacked window, then report the current value with
+		// every processed frame the hub has not counted.
+		if err := replay(-1); err != nil {
+			return fail(err)
 		}
 		if err := writeState(max(st.processed-welcome.Processed, 0)); err != nil {
 			return fail(err)
@@ -473,7 +478,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 			if err != nil {
 				return endStop, err
 			}
-			env, err = sendLink(env.To).Stamp(env, now)
+			env, err = sendLink(env.To).Stamp(env)
 			if err != nil {
 				return endStop, err
 			}
@@ -495,12 +500,13 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	lastWrite := time.Now()
 	lastRecv := lastWrite
 
-	// Reader goroutine: the main loop must also wake for retransmission
-	// ticks, so reads go through a channel. Envelopes are detached — they
-	// sit in the channel (and the reorder buffer) past the next read. A
-	// checksum-rejected frame is consumed, counted, and skipped; the
-	// sender's retransmission recovers it.
+	// Reader goroutine: the main loop must also wake for liveness ticks,
+	// so reads go through a channel. Envelopes are detached — they sit in
+	// the channel (and the reorder buffer) past the next read. A
+	// checksum-rejected frame is consumed, counted, and signalled on
+	// rejected; rejections awaiting the main loop share one replay.
 	inbound := make(chan wire.Envelope, 128)
+	rejected := make(chan struct{}, 1)
 	readerQuit := make(chan struct{})
 	defer func() {
 		close(readerQuit)
@@ -512,6 +518,10 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 			e, err := fr.Next()
 			if err != nil {
 				if errors.Is(err, wire.ErrCorruptFrame) {
+					select {
+					case rejected <- struct{}{}:
+					default:
+					}
 					continue
 				}
 				return
@@ -557,7 +567,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 					return endStop, nil
 				}
 				// Any other frame is abandoned: this session is ending
-				// either way, and retransmission covers a resumed one.
+				// either way, and a resumed one gets it replayed.
 			case <-cfg.done:
 				return endStop, nil
 			case <-deadline.C:
@@ -566,8 +576,13 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		}
 	}
 
-	ticker := time.NewTicker(retransmitTick)
-	defer ticker.Stop()
+	// Liveness ticks (heartbeats, hub silence); none without heartbeats.
+	var tick <-chan time.Time
+	if cfg.hb > 0 {
+		ticker := time.NewTicker(cfg.hb / 4)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case e, ok := <-inbound:
@@ -594,28 +609,40 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				// Pure liveness: the hub is up; lastRecv just advanced.
 				continue
 			case wire.TypeReset:
-				// A peer relaunched cold: renumber the unacked window
+				// With Resume, frames toward b (every peer when b < 0) were
+				// lost. Without, b relaunched cold: renumber our window
 				// toward it from 1, rewind the receive frontier, and echo
-				// so the hub lifts its hold on our frames toward the peer.
+				// (lifting the hub's hold) before replaying the window.
 				b := e.From
-				now := time.Now()
-				if sl, ok := st.sendLinks[b]; ok {
-					sl.Reset(now)
+				if !e.Resume {
+					if sl, ok := st.sendLinks[b]; ok {
+						sl.Reset()
+					}
+					if rl, ok := st.recvLinks[b]; ok {
+						rl.Reset()
+					}
+					if err := send(wire.Envelope{Type: wire.TypeReset, From: int(v), To: b}); err != nil {
+						return failRW(err)
+					}
 				}
-				if rl, ok := st.recvLinks[b]; ok {
-					rl.Reset()
-				}
-				if err := send(wire.Envelope{Type: wire.TypeReset, From: int(v), To: b}); err != nil {
+				if err := replay(b); err != nil {
 					return failRW(err)
+				}
+				if b < 0 {
+					// The hub rejected one of our frames, perhaps a state
+					// report: restate the value.
+					if err := writeState(0); err != nil {
+						return failRW(err)
+					}
 				}
 				// The relaunched peer lost its agent_view with its process,
 				// and every frame its dead incarnation acknowledged is gone
-				// from both sides' buffers — retransmission cannot restate
-				// this node's value. Re-announce it explicitly (stamped into
+				// from both sides' buffers — no replay can restate this
+				// node's value. Re-announce it explicitly (stamped into
 				// the renumbered link, after the echo so the hub has lifted
 				// its hold); without this, both sides idle believing they
 				// are mutually consistent and the run stalls to timeout.
-				if ra, ok := agent.(sim.Reannouncer); ok {
+				if ra, ok := agent.(sim.Reannouncer); ok && !e.Resume {
 					ms := ra.Reannounce(sim.AgentID(b))
 					at.Begin(causal.SpanStep, st.steps)
 					stampOut(at, ms)
@@ -625,7 +652,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 						if err != nil {
 							return endStop, err
 						}
-						env, err = sendLink(env.To).Stamp(env, now)
+						env, err = sendLink(env.To).Stamp(env)
 						if err != nil {
 							return endStop, err
 						}
@@ -637,11 +664,11 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				if err := fw.Flush(); err != nil {
 					return failRW(err)
 				}
-				lastWrite = now
+				lastWrite = time.Now()
 				continue
 			case wire.TypeAck:
 				if sl, ok := st.sendLinks[e.From]; ok {
-					sl.Ack(e.Ack, time.Now())
+					sl.Ack(e.Ack)
 				}
 				continue
 			}
@@ -650,17 +677,16 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 			if err != nil {
 				return endStop, err
 			}
-			now := time.Now()
 			if len(released) == 0 {
-				// Duplicate or gap: re-ack so a sender whose ack was lost
-				// stops retransmitting.
+				// Duplicate or gap: re-ack, so a replaying sender whose
+				// ack was lost releases what already arrived.
 				if err := send(wire.Envelope{Type: wire.TypeAck, From: int(v), To: e.From, Ack: rl.CumAck()}); err != nil {
 					return failRW(err)
 				}
 				if err := fw.Flush(); err != nil {
 					return failRW(err)
 				}
-				lastWrite = now
+				lastWrite = time.Now()
 				continue
 			}
 			batch := make([]sim.Message, 0, len(released))
@@ -679,14 +705,14 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 			st.steps++
 			// Stamp the output into the send links BEFORE checkpointing:
 			// if the crash hits after the checkpoint, the output survives
-			// in the unacked buffers and the restart retransmits it.
+			// in the unacked buffers and the restart replays it.
 			outFrames := make([]wire.Envelope, 0, len(out))
 			for _, m := range out {
 				env, err := wire.Encode(m)
 				if err != nil {
 					return endStop, err
 				}
-				env, err = sendLink(env.To).Stamp(env, now)
+				env, err = sendLink(env.To).Stamp(env)
 				if err != nil {
 					return endStop, err
 				}
@@ -699,8 +725,8 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 			saveCheckpoint()
 			if hasCrash && st.steps > cr.AfterSteps {
 				// Scheduled crash: the process dies before acking the
-				// step. Everything since the checkpoint is lost; senders
-				// retransmit, the restart replays the checkpoint.
+				// step. Everything since the checkpoint is lost; the
+				// restart and its peers replay their windows.
 				return endCrashed, nil
 			}
 			for _, of := range outFrames {
@@ -718,26 +744,22 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				return failRW(err)
 			}
 			lastWrite = time.Now()
-		case <-ticker.C:
-			now := time.Now()
-			wrote := false
-			for _, sl := range st.sendLinks {
-				for _, e := range sl.Due(now) {
-					if err := send(e); err != nil {
-						return failRW(err)
-					}
-					wrote = true
-				}
+		case <-rejected:
+			// The damaged frame's link is unknowable: every peer replays.
+			if err := send(wire.Envelope{Type: wire.TypeReset, From: int(v), To: -1, Resume: true}); err != nil {
+				return failRW(err)
 			}
-			if !wrote && cfg.hb > 0 && now.Sub(lastWrite) >= cfg.hb {
+			if err := fw.Flush(); err != nil {
+				return failRW(err)
+			}
+			lastWrite = time.Now()
+		case now := <-tick:
+			if now.Sub(lastWrite) >= cfg.hb {
 				// Idle link: beat it so the hub's dead-peer detector knows
 				// this node is alive, not gone.
 				if err := send(wire.Envelope{Type: wire.TypeHeartbeat, From: int(v), To: -1}); err != nil {
 					return failRW(err)
 				}
-				wrote = true
-			}
-			if wrote {
 				if err := fw.Flush(); err != nil {
 					return failRW(err)
 				}

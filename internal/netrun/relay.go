@@ -91,12 +91,10 @@ func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 func (h *hub) readLoop(rc *relayConn) {
 	for {
 		env, err := rc.fr.Next()
-		if err != nil {
-			if errors.Is(err, wire.ErrCorruptFrame) {
-				// A checksum-rejected frame is consumed and counted; the
-				// stream stays aligned and the sender retransmits.
-				continue
-			}
+		// A checksum-rejected frame is consumed and counted; the stream
+		// stays aligned, and the route loop has the node replay it.
+		rejected := errors.Is(err, wire.ErrCorruptFrame)
+		if err != nil && !rejected {
 			return // node-side close or framing damage: drop the connection
 		}
 		if env.Type == wire.TypeHello {
@@ -114,7 +112,7 @@ func (h *hub) readLoop(rc *relayConn) {
 		// unalias the reader's scratch.
 		env.Detach()
 		select {
-		case h.frames <- inFrame{env: env, src: rc}:
+		case h.frames <- inFrame{env: env, src: rc, rejected: rejected}:
 		case <-h.stop:
 			return
 		}

@@ -63,12 +63,12 @@ type WorkerStats struct {
 	// Reconnects counts sessions re-established after a severed
 	// connection, summed over the worker's nodes.
 	Reconnects int64
-	// Retransmits counts frames resent past a lost ack.
+	// Retransmits counts frames replayed after a loss.
 	Retransmits int64
 	// DuplicatesSuppressed counts deliveries absorbed by the dedup layer.
 	DuplicatesSuppressed int64
 	// CorruptFrames counts inbound frames rejected by the CRC32C trailer
-	// and recovered by hub-side retransmission.
+	// and recovered by a replay from their senders.
 	CorruptFrames int64
 }
 

@@ -25,7 +25,7 @@ var familyHelp = map[string]string{
 	"discsp_trial_cycles":        "Cycles to termination per trial.",
 	"discsp_trial_maxcck":        "Max concurrent checks per trial.",
 
-	"discsp_transport_retransmits_total":        "Frames retransmitted by the reliable transport.",
+	"discsp_transport_retransmits_total":        "Dropped delivery attempts plus frames replayed after a loss.",
 	"discsp_transport_dups_suppressed_total":    "Duplicate frames suppressed by receivers.",
 	"discsp_transport_restarts_total":           "Agent crash-restarts survived.",
 	"discsp_transport_partitioned_total":        "Network partitions injected.",

@@ -8,7 +8,8 @@ import "fmt"
 // telemetry stream. Before this type each of those carried its own copy of
 // the five fields and its own formatter.
 type Transport struct {
-	// Retransmits counts frames resent past a drop, partition, or slow ack.
+	// Retransmits counts dropped attempts (modelled as delay) plus frames
+	// replayed after a loss. A clean run counts none.
 	Retransmits int64 `json:"retransmits,omitempty"`
 	// DuplicatesSuppressed counts deliveries absorbed by the dedup layer.
 	DuplicatesSuppressed int64 `json:"duplicatesSuppressed,omitempty"`
@@ -25,7 +26,7 @@ type Transport struct {
 	// the dead-peer timeout. TCP runtime only.
 	HeartbeatTimeouts int64 `json:"heartbeatTimeouts,omitempty"`
 	// CorruptFrames counts frames rejected by the CRC32C trailer and
-	// recovered by retransmission. TCP runtime only.
+	// recovered by a replay. TCP runtime only.
 	CorruptFrames int64 `json:"corruptFrames,omitempty"`
 
 	// BytesSent and BytesRecv count wire bytes crossing the hub's sockets

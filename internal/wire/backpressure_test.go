@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 )
 
 // Backpressure error paths at the seams the plain cap tests don't cross:
@@ -39,7 +38,7 @@ func drain(t *testing.T, sock *bytes.Buffer) []Envelope {
 // stream resumes exactly where it left off, and the receiver releases a
 // gapless sequence.
 func TestSendCapUnderBatching(t *testing.T) {
-	sl := NewSendLink(time.Millisecond, 8*time.Millisecond)
+	sl := NewSendLink()
 	sl.SetLimit(3)
 	var sock bytes.Buffer
 	fw := NewFrameWriter(&sock)
@@ -49,7 +48,7 @@ func TestSendCapUnderBatching(t *testing.T) {
 	fw.EnableBatching(64, 1<<20) // large bounds: nothing auto-flushes
 
 	for i := 0; i < 3; i++ {
-		e := mustStamp(t, sl, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: i}, t0)
+		e := mustStamp(t, sl, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: i})
 		if err := fw.Send(&e); err != nil {
 			t.Fatal(err)
 		}
@@ -58,17 +57,17 @@ func TestSendCapUnderBatching(t *testing.T) {
 		t.Fatal("batch flushed early; test needs frames in flight")
 	}
 
-	if _, err := sl.Stamp(Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: 99}, t0); !errors.Is(err, ErrSendBufferFull) {
+	if _, err := sl.Stamp(Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: 99}); !errors.Is(err, ErrSendBufferFull) {
 		t.Fatalf("over-cap stamp: err = %v, want ErrSendBufferFull", err)
 	}
-	if sl.Pending() != 3 {
-		t.Fatalf("failed stamp changed pending: %d", sl.Pending())
+	if len(sl.Window()) != 3 {
+		t.Fatalf("failed stamp changed pending: %d", len(sl.Window()))
 	}
 
 	// The ack releases capacity; the next stamp must get seq 4 — the
 	// failed attempt burned nothing even with a batch open.
-	sl.Ack(1, t0)
-	e := mustStamp(t, sl, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: 3}, t0)
+	sl.Ack(1)
+	e := mustStamp(t, sl, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: 3})
 	if e.Seq != 4 {
 		t.Fatalf("post-ack seq = %d, want 4", e.Seq)
 	}
@@ -106,10 +105,10 @@ func TestSendCapUnderBatching(t *testing.T) {
 // TestReorderCapUnderBatchedDelivery loses the head of a batched burst so
 // every following frame is out of order. The receiver buffers up to its
 // cap, rejects the overflow with ErrReorderBufferFull without advancing
-// the frontier, and recovers losslessly once retransmission fills the gap:
-// the overflow frame is simply retransmitted too, like any unacked frame.
+// the frontier, and recovers losslessly once a replay fills the gap:
+// the overflow frame is simply replayed too, like any unacked frame.
 func TestReorderCapUnderBatchedDelivery(t *testing.T) {
-	sl := NewSendLink(time.Millisecond, 8*time.Millisecond)
+	sl := NewSendLink()
 	var sock bytes.Buffer
 	fw := NewFrameWriter(&sock)
 	if err := fw.SetCodec(CodecBinary); err != nil {
@@ -119,7 +118,7 @@ func TestReorderCapUnderBatchedDelivery(t *testing.T) {
 
 	var stamped []Envelope
 	for i := 0; i < 5; i++ {
-		stamped = append(stamped, mustStamp(t, sl, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: i}, t0))
+		stamped = append(stamped, mustStamp(t, sl, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: i}))
 	}
 	// Transmit the batch minus its head: seq 1 is lost on the wire.
 	for _, e := range stamped[1:] {
@@ -155,18 +154,18 @@ func TestReorderCapUnderBatchedDelivery(t *testing.T) {
 		t.Fatalf("buffered %d cumack %d after overflow, want 3/0", rl.Buffered(), rl.CumAck())
 	}
 
-	// Nothing was acked, so retransmission re-offers the whole window —
-	// the gap filler and the overflowed frame alike.
-	due := sl.Due(t0.Add(10 * time.Millisecond))
+	// Nothing was acked, so a replay re-offers the whole window — the gap
+	// filler and the overflowed frame alike.
+	due := sl.Window()
 	if len(due) != 5 {
-		t.Fatalf("retransmit window = %d frames, want 5", len(due))
+		t.Fatalf("replay window = %d frames, want 5", len(due))
 	}
 	var released []int64
 	dups := 0
 	for _, e := range due {
 		got, dup, err := rl.Accept(e)
 		if err != nil {
-			t.Fatalf("Accept(retransmit seq %d): %v", e.Seq, err)
+			t.Fatalf("Accept(replayed seq %d): %v", e.Seq, err)
 		}
 		if dup {
 			dups++
@@ -184,7 +183,7 @@ func TestReorderCapUnderBatchedDelivery(t *testing.T) {
 		t.Fatalf("after recovery: released %d cumack %d buffered %d, want 5/5/0", len(released), rl.CumAck(), rl.Buffered())
 	}
 	if dups != 3 {
-		t.Fatalf("dedup suppressed %d retransmits, want the 3 already buffered", dups)
+		t.Fatalf("dedup suppressed %d replayed frames, want the 3 already buffered", dups)
 	}
 }
 
@@ -200,7 +199,7 @@ func TestShardBoundaryBackpressureIsolation(t *testing.T) {
 	socks := [nShards]*bytes.Buffer{}
 	writers := [nShards]*FrameWriter{}
 	for s := range links {
-		links[s] = NewSendLink(time.Millisecond, 8*time.Millisecond)
+		links[s] = NewSendLink()
 		links[s].SetLimit(2)
 		socks[s] = &bytes.Buffer{}
 		writers[s] = NewFrameWriter(socks[s])
@@ -212,7 +211,7 @@ func TestShardBoundaryBackpressureIsolation(t *testing.T) {
 	// Destination nodes 0..3 shard by parity, as shardOf does in netrun.
 	send := func(to int) (Envelope, error) {
 		s := to % nShards
-		e, err := links[s].Stamp(Envelope{Type: TypeCoreOk, From: 9, To: to}, t0)
+		e, err := links[s].Stamp(Envelope{Type: TypeCoreOk, From: 9, To: to})
 		if err != nil {
 			return Envelope{}, err
 		}
@@ -242,13 +241,13 @@ func TestShardBoundaryBackpressureIsolation(t *testing.T) {
 			t.Fatalf("shard 1 seq = %d, want %d", e.Seq, i)
 		}
 	}
-	if links[0].Pending() != 2 || links[1].Pending() != 2 {
-		t.Fatalf("pending = %d/%d, want 2/2", links[0].Pending(), links[1].Pending())
+	if len(links[0].Window()) != 2 || len(links[1].Window()) != 2 {
+		t.Fatalf("pending = %d/%d, want 2/2", len(links[0].Window()), len(links[1].Window()))
 	}
 
 	// Ack shard 0 and resume: the two failed stamps left no hole, so the
 	// next frame is seq 3 on that link.
-	links[0].Ack(2, t0)
+	links[0].Ack(2)
 	e, err := send(2)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func crcPipe(batch bool) (*FrameWriter, *bytes.Buffer) {
@@ -232,16 +231,15 @@ func TestCorruptFrameAllocationBounded(t *testing.T) {
 }
 
 func TestSendLinkReset(t *testing.T) {
-	now := time.Unix(0, 0)
-	l := NewSendLink(10*time.Millisecond, 160*time.Millisecond)
+	l := NewSendLink()
 	for i := 0; i < 5; i++ {
-		if _, err := l.Stamp(Envelope{Type: TypeCoreOk, From: 1, To: 2, Value: i}, now); err != nil {
+		if _, err := l.Stamp(Envelope{Type: TypeCoreOk, From: 1, To: 2, Value: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.Ack(2, now) // peer durably received 1-2 before its incarnation died
-	l.Reset(now)
-	due := l.Due(now)
+	l.Ack(2) // peer durably received 1-2 before its incarnation died
+	l.Reset()
+	due := l.Window()
 	if len(due) != 3 {
 		t.Fatalf("reset window: %d frames, want 3", len(due))
 	}
@@ -253,7 +251,7 @@ func TestSendLinkReset(t *testing.T) {
 			t.Fatalf("frame %d payload reordered: value %d", i, e.Value)
 		}
 	}
-	stamped, err := l.Stamp(Envelope{Type: TypeCoreOk, From: 1, To: 2}, now)
+	stamped, err := l.Stamp(Envelope{Type: TypeCoreOk, From: 1, To: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,34 +261,18 @@ func TestSendLinkReset(t *testing.T) {
 }
 
 func TestSendLinkResetEmpty(t *testing.T) {
-	now := time.Unix(0, 0)
-	l := NewSendLink(10*time.Millisecond, 160*time.Millisecond)
-	if _, err := l.Stamp(Envelope{Type: TypeCoreOk}, now); err != nil {
+	l := NewSendLink()
+	if _, err := l.Stamp(Envelope{Type: TypeCoreOk}); err != nil {
 		t.Fatal(err)
 	}
-	l.Ack(1, now)
-	l.Reset(now)
-	if got := l.Due(now.Add(time.Second)); got != nil {
-		t.Fatalf("empty reset link retransmitted %d frames", len(got))
+	l.Ack(1)
+	l.Reset()
+	if got := l.Window(); len(got) != 0 {
+		t.Fatalf("empty reset link would replay %d frames", len(got))
 	}
-	stamped, _ := l.Stamp(Envelope{Type: TypeCoreOk}, now)
+	stamped, _ := l.Stamp(Envelope{Type: TypeCoreOk})
 	if stamped.Seq != 1 {
 		t.Fatalf("first frame after empty reset got seq %d, want 1", stamped.Seq)
-	}
-}
-
-func TestSendLinkMarkDue(t *testing.T) {
-	now := time.Unix(0, 0)
-	l := NewSendLink(10*time.Millisecond, 160*time.Millisecond)
-	if _, err := l.Stamp(Envelope{Type: TypeCoreOk}, now); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Due(now); got != nil {
-		t.Fatal("frame due before its deadline")
-	}
-	l.MarkDue(now)
-	if got := l.Due(now); len(got) != 1 {
-		t.Fatalf("MarkDue did not make the window due (got %d frames)", len(got))
 	}
 }
 

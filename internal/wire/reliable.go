@@ -1,22 +1,20 @@
-// Reliable delivery over lossy links: per-link sequence numbers, cumulative
-// acks, retransmission with exponential backoff, and a receiver-side
-// dedup/reorder buffer. SendLink and RecvLink are pure state machines — no
-// goroutines, no timers of their own — driven by the transport that owns
-// them (the netrun node loops), which makes them directly unit-testable
-// under deterministic fault schedules.
+// Reliable delivery: per-link sequence numbers, cumulative acks, a
+// sender-side window of unacked frames, and a receiver-side dedup/reorder
+// buffer. SendLink and RecvLink are pure state machines — no goroutines,
+// no timers — driven by the transport that owns them (the netrun node
+// loops), which makes them directly unit-testable under deterministic
+// fault schedules.
 //
 // Together they restore the two transport guarantees the algorithms'
 // correctness model (Yokoo et al.) assumes and a faulty network breaks:
 // every message is eventually delivered exactly once, and deliveries on one
-// directed link arrive in send order (FIFO per link).
+// directed link arrive in send order (FIFO per link). Nothing resends on a
+// clock: the owner replays a Window only after a known loss.
 package wire
 
 import (
 	"errors"
 	"fmt"
-	"time"
-
-	"github.com/discsp/discsp/internal/backoff"
 )
 
 // Buffer caps. Both halves of a reliable link hold memory proportional to
@@ -46,25 +44,18 @@ var ErrReorderBufferFull = errors.New("wire: reorder buffer full")
 
 // SendLink is the sender half of one directed reliable link: it stamps
 // outgoing envelopes with consecutive sequence numbers and retains them
-// until the receiver's cumulative ack covers them, retransmitting on an
-// exponential-backoff schedule while any frame is outstanding.
+// until the receiver's cumulative ack covers them, so the owner can replay
+// them after a loss.
 type SendLink struct {
 	nextSeq int64
 	unacked []Envelope // seq-ascending
 	limit   int
-
-	policy      backoff.Policy
-	attempt     int       // consecutive retransmission rounds without progress
-	deadline    time.Time // when the oldest unacked frame is due again
-	retransmits int64
 }
 
-// NewSendLink builds a sender link with the given backoff bounds. base and
-// cap must be positive; the first retransmission fires base after the
-// original send, doubling per round up to cap until acked. The unacked
-// buffer is capped at DefaultMaxUnacked; SetLimit overrides.
-func NewSendLink(base, cap time.Duration) *SendLink {
-	return &SendLink{nextSeq: 1, limit: DefaultMaxUnacked, policy: backoff.Policy{Base: base, Cap: cap}}
+// NewSendLink builds a sender link whose first frame gets seq 1. The
+// unacked buffer is capped at DefaultMaxUnacked; SetLimit overrides.
+func NewSendLink() *SendLink {
+	return &SendLink{nextSeq: 1, limit: DefaultMaxUnacked}
 }
 
 // SetLimit overrides the unacked-buffer cap; n <= 0 restores the default.
@@ -76,95 +67,53 @@ func (l *SendLink) SetLimit(n int) {
 }
 
 // Stamp assigns the next sequence number to e, buffers the stamped frame
-// for retransmission, and returns it for transmission. now anchors the
-// retransmission deadline. It fails, without consuming a sequence number,
-// when the unacked buffer is at its cap (the error wraps
+// for replay, and returns it for transmission. It fails, without consuming
+// a sequence number, when the unacked buffer is at its cap (the error wraps
 // ErrSendBufferFull).
-func (l *SendLink) Stamp(e Envelope, now time.Time) (Envelope, error) {
+func (l *SendLink) Stamp(e Envelope) (Envelope, error) {
 	if len(l.unacked) >= l.limit {
 		return Envelope{}, fmt.Errorf("%w: %d frames to node %d unacked (oldest seq %d): peer dead or partitioned beyond the buffer cap",
 			ErrSendBufferFull, len(l.unacked), e.To, l.unacked[0].Seq)
 	}
 	e.Seq = l.nextSeq
 	l.nextSeq++
-	if len(l.unacked) == 0 {
-		l.attempt = 0
-		l.deadline = now.Add(l.policy.Delay(0))
-	}
 	l.unacked = append(l.unacked, e)
 	return e, nil
 }
 
 // Ack drops every buffered frame with seq ≤ cum and reports how many were
-// released. Progress resets the backoff; a stale or duplicate ack changes
-// nothing.
-func (l *SendLink) Ack(cum int64, now time.Time) int {
+// released. A stale or duplicate ack changes nothing.
+func (l *SendLink) Ack(cum int64) int {
 	n := 0
 	for n < len(l.unacked) && l.unacked[n].Seq <= cum {
 		n++
 	}
-	if n == 0 {
-		return 0
+	if n > 0 {
+		l.unacked = append(l.unacked[:0], l.unacked[n:]...)
 	}
-	l.unacked = append(l.unacked[:0], l.unacked[n:]...)
-	l.attempt = 0
-	l.deadline = now.Add(l.policy.Delay(0))
 	return n
 }
 
-// Due returns the frames to retransmit: every unacked frame, when now has
-// reached the retransmission deadline; nil otherwise. Each firing doubles
-// the backoff up to the cap, so a dead receiver costs bounded bandwidth.
-// The caller transmits the returned frames.
-func (l *SendLink) Due(now time.Time) []Envelope {
-	if len(l.unacked) == 0 || now.Before(l.deadline) {
-		return nil
-	}
-	l.attempt++
-	l.deadline = now.Add(l.policy.Delay(l.attempt))
-	l.retransmits += int64(len(l.unacked))
-	out := make([]Envelope, len(l.unacked))
-	copy(out, l.unacked)
-	return out
-}
-
-// MarkDue makes every unacked frame immediately due for retransmission
-// without advancing the backoff round — used when the owning node has just
-// re-established its connection and the in-flight window must be replayed
-// at once rather than on the next scheduled deadline.
-func (l *SendLink) MarkDue(now time.Time) {
-	if len(l.unacked) > 0 {
-		l.attempt = 0
-		l.deadline = now
-	}
-}
+// Window returns the unacked frames in seq order: what a replay resends.
+// The slice aliases the link's buffer and is valid until the next Stamp,
+// Ack, or Reset.
+func (l *SendLink) Window() []Envelope { return l.unacked }
 
 // Reset renumbers the link for a peer that restarted from scratch (a
 // relaunched worker process with no durable checkpoint): the unacked window
-// is restamped from seq 1 in order, the next fresh frame follows it, and
-// everything is immediately due — so the fresh peer's receive frontier
-// (expecting seq 1) lines up with this sender's stream and no frame in the
-// window is lost.
-func (l *SendLink) Reset(now time.Time) {
+// is restamped from seq 1 in order and the next fresh frame follows it, so
+// the fresh peer's receive frontier (expecting seq 1) lines up with this
+// sender's stream once the owner replays the Window.
+func (l *SendLink) Reset() {
 	for i := range l.unacked {
 		l.unacked[i].Seq = int64(i + 1)
 	}
 	l.nextSeq = int64(len(l.unacked)) + 1
-	l.attempt = 0
-	if len(l.unacked) > 0 {
-		l.deadline = now
-	}
 }
 
-// Pending returns the number of unacked frames.
-func (l *SendLink) Pending() int { return len(l.unacked) }
-
-// Retransmits returns the cumulative number of frames retransmitted.
-func (l *SendLink) Retransmits() int64 { return l.retransmits }
-
 // SendLinkState is a SendLink's durable state: everything a restarted node
-// needs to keep its outgoing seq stream consistent and resume
-// retransmitting what the receiver never acknowledged.
+// needs to keep its outgoing seq stream consistent and replay what the
+// receiver never acknowledged.
 type SendLinkState struct {
 	NextSeq int64
 	Unacked []Envelope
@@ -181,19 +130,17 @@ func (l *SendLink) SnapshotState() SendLinkState {
 	return st
 }
 
-// RestoreSendLink rebuilds a sender link from a checkpoint. The restored
-// link is immediately due for retransmission: the crash may have eaten the
-// original transmissions, and a spurious resend is harmless (the receiver
-// dedups).
-func RestoreSendLink(st SendLinkState, base, cap time.Duration, now time.Time) *SendLink {
-	l := NewSendLink(base, cap)
+// RestoreSendLink rebuilds a sender link from a checkpoint. The crash may
+// have eaten the original transmissions, so the owner replays the restored
+// Window; a spurious resend is harmless (the receiver dedups).
+func RestoreSendLink(st SendLinkState) *SendLink {
+	l := NewSendLink()
 	if st.NextSeq > 0 {
 		l.nextSeq = st.NextSeq
 	}
 	if len(st.Unacked) > 0 {
 		l.unacked = make([]Envelope, len(st.Unacked))
 		copy(l.unacked, st.Unacked)
-		l.deadline = now // due now
 	}
 	return l
 }
@@ -288,7 +235,7 @@ func (l *RecvLink) Dups() int64 { return l.dups }
 
 // RecvLinkState is a RecvLink's durable state. Only the in-order frontier
 // is durable: buffered out-of-order frames die with a crash and are
-// recovered by sender retransmission, which is why the frontier must never
+// recovered by the sender's replay, which is why the frontier must never
 // be advanced past what the owner has durably processed.
 type RecvLinkState struct {
 	Next int64

@@ -13,9 +13,9 @@ var t0 = time.Unix(1000, 0)
 
 // mustStamp / mustAccept keep the happy-path tests readable; cap behavior
 // has its own tests below.
-func mustStamp(t *testing.T, l *SendLink, e Envelope, now time.Time) Envelope {
+func mustStamp(t *testing.T, l *SendLink, e Envelope) Envelope {
 	t.Helper()
-	out, err := l.Stamp(e, now)
+	out, err := l.Stamp(e)
 	if err != nil {
 		t.Fatalf("Stamp(%+v): %v", e, err)
 	}
@@ -32,61 +32,24 @@ func mustAccept(t *testing.T, l *RecvLink, e Envelope) ([]Envelope, bool) {
 }
 
 func TestSendLinkStampAndAck(t *testing.T) {
-	l := NewSendLink(2*time.Millisecond, 64*time.Millisecond)
+	l := NewSendLink()
 	for i := 1; i <= 3; i++ {
-		e := mustStamp(t, l, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: i}, t0)
+		e := mustStamp(t, l, Envelope{Type: TypeCoreOk, From: 0, To: 1, Value: i})
 		if e.Seq != int64(i) {
 			t.Fatalf("stamp %d: seq %d", i, e.Seq)
 		}
 	}
-	if l.Pending() != 3 {
-		t.Fatalf("pending = %d", l.Pending())
+	if len(l.Window()) != 3 {
+		t.Fatalf("pending = %d", len(l.Window()))
 	}
-	if n := l.Ack(2, t0); n != 2 {
+	if n := l.Ack(2); n != 2 {
 		t.Fatalf("ack released %d, want 2", n)
 	}
-	if n := l.Ack(2, t0); n != 0 {
+	if n := l.Ack(2); n != 0 {
 		t.Fatalf("duplicate ack released %d", n)
 	}
-	if n := l.Ack(99, t0); n != 1 || l.Pending() != 0 {
-		t.Fatalf("final ack: released %d pending %d", n, l.Pending())
-	}
-}
-
-func TestSendLinkRetransmitBackoff(t *testing.T) {
-	base, cap := 2*time.Millisecond, 8*time.Millisecond
-	l := NewSendLink(base, cap)
-	mustStamp(t, l, Envelope{Type: TypeCoreOk}, t0)
-	mustStamp(t, l, Envelope{Type: TypeCoreOk}, t0)
-
-	if got := l.Due(t0.Add(base - time.Microsecond)); got != nil {
-		t.Fatalf("retransmitted before deadline: %v", got)
-	}
-	// First firing: both frames, next deadline 2*base later.
-	now := t0.Add(base)
-	if got := l.Due(now); len(got) != 2 {
-		t.Fatalf("first retransmit sent %d frames", len(got))
-	}
-	if got := l.Due(now.Add(2*base - time.Microsecond)); got != nil {
-		t.Fatal("backoff did not double")
-	}
-	now = now.Add(2 * base)
-	if got := l.Due(now); len(got) != 2 {
-		t.Fatal("second retransmit missing")
-	}
-	// Backoff is capped.
-	now = now.Add(cap)
-	if got := l.Due(now); len(got) != 2 {
-		t.Fatal("capped retransmit missing")
-	}
-	if l.Retransmits() != 6 {
-		t.Fatalf("retransmits = %d, want 6", l.Retransmits())
-	}
-	// Ack resets the backoff for the next frame.
-	l.Ack(2, now)
-	mustStamp(t, l, Envelope{Type: TypeCoreOk}, now)
-	if got := l.Due(now.Add(base)); len(got) != 1 {
-		t.Fatal("backoff not reset after ack")
+	if n := l.Ack(99); n != 1 || len(l.Window()) != 0 {
+		t.Fatalf("final ack: released %d pending %d", n, len(l.Window()))
 	}
 }
 
@@ -138,28 +101,29 @@ func TestRecvLinkReorderAndDedup(t *testing.T) {
 }
 
 func TestLinkStateRoundTrip(t *testing.T) {
-	s := NewSendLink(2*time.Millisecond, 8*time.Millisecond)
-	mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: 1}, t0)
-	mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: 2}, t0)
-	s.Ack(1, t0)
+	s := NewSendLink()
+	mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: 1})
+	mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: 2})
+	s.Ack(1)
 	st := s.SnapshotState()
 	if st.NextSeq != 3 || len(st.Unacked) != 1 || st.Unacked[0].Seq != 2 {
 		t.Fatalf("send state %+v", st)
 	}
-	mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: 3}, t0)
+	mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: 3})
 	if len(st.Unacked) != 1 {
 		t.Fatal("snapshot aliased live link")
 	}
 
-	r := RestoreSendLink(st, 2*time.Millisecond, 8*time.Millisecond, t0)
-	if r.Pending() != 1 {
-		t.Fatalf("restored pending = %d", r.Pending())
+	r := RestoreSendLink(st)
+	if len(r.Window()) != 1 {
+		t.Fatalf("restored pending = %d", len(r.Window()))
 	}
-	// A restored link is immediately due: the crash may have eaten the wire.
-	if got := r.Due(t0); len(got) != 1 || got[0].Seq != 2 {
-		t.Fatalf("restored link not due: %v", got)
+	// The restored window is what the restart replays: the crash may have
+	// eaten the wire.
+	if got := r.Window(); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("restored window: %v", got)
 	}
-	if e := mustStamp(t, r, Envelope{Type: TypeCoreOk}, t0); e.Seq != 3 {
+	if e := mustStamp(t, r, Envelope{Type: TypeCoreOk}); e.Seq != 3 {
 		t.Fatalf("restored link stamped seq %d, want 3", e.Seq)
 	}
 
@@ -175,67 +139,75 @@ func TestLinkStateRoundTrip(t *testing.T) {
 	if rr.CumAck() != 2 {
 		t.Fatalf("restored recv ack = %d", rr.CumAck())
 	}
-	// The buffered frame was lost with the crash; its retransmission must
-	// be accepted as new, then the gap fill works as usual.
+	// The buffered frame was lost with the crash; its replay must be
+	// accepted as new, then the gap fill works as usual.
 	if got, dup := mustAccept(t, rr, Envelope{Seq: 4}); dup || got != nil {
-		t.Fatalf("retransmitted 4 after restore: %v %v", got, dup)
+		t.Fatalf("replayed 4 after restore: %v %v", got, dup)
 	}
 	if got, _ := mustAccept(t, rr, Envelope{Seq: 3}); len(got) != 2 {
 		t.Fatalf("gap fill after restore released %d", len(got))
 	}
 }
 
-// TestReliableLinkUnderFaultSchedule drives a send/recv pair through a
-// deterministic lossy channel (drop, duplicate, reorder via delay) and
-// asserts exactly-once, in-order delivery of every message — the property
-// the runtimes build on.
+// TestReliableLinkUnderFaultSchedule drives a send/recv pair through the
+// runtimes' loss model — drop streaks as backoff delay (DropStreak), extra
+// delay that reorders, duplicates, and damaged copies recovered by a
+// replay of the unacked window — and asserts exactly-once, in-order
+// delivery of every message: the property the runtimes build on.
 func TestReliableLinkUnderFaultSchedule(t *testing.T) {
-	inj := faults.New(faults.Config{Seed: 11, Drop: 0.3, Duplicate: 0.3, MaxDelay: 4 * time.Millisecond})
-	s := NewSendLink(2*time.Millisecond, 16*time.Millisecond)
+	inj := faults.New(faults.Config{Seed: 11, Drop: 0.3, Duplicate: 0.3, Corrupt: 0.1, MaxDelay: 4 * time.Millisecond})
+	s := NewSendLink()
 	r := NewRecvLink()
 
 	type flight struct {
-		at time.Time
-		e  Envelope
+		at      time.Time
+		e       Envelope
+		corrupt bool
 	}
 	var wireQueue []flight
 	now := t0
-	send := func(e Envelope, attempt int) {
-		if inj.Dropped(0, 1, e.Seq, attempt) {
-			return
-		}
-		wireQueue = append(wireQueue, flight{at: now.Add(inj.Delay(0, 1, e.Seq, 0)), e: e})
-		if attempt == 0 && inj.Duplicated(0, 1, e.Seq) {
+	attempts := make(map[int64]int)
+	send := func(e Envelope) {
+		delay, attempt := inj.DropStreak(0, 1, e.Seq, attempts[e.Seq])
+		if attempts[e.Seq] == 0 && inj.Duplicated(0, 1, e.Seq) {
 			wireQueue = append(wireQueue, flight{at: now.Add(inj.Delay(0, 1, e.Seq, 1)), e: e})
 		}
+		attempts[e.Seq] = attempt + 1
+		wireQueue = append(wireQueue, flight{at: now.Add(delay + inj.Delay(0, 1, e.Seq, 0)), e: e,
+			corrupt: inj.Corrupted(0, 1, e.Seq, attempt)})
 	}
 
 	const total = 200
 	var delivered []Envelope
-	attempts := make(map[int64]int)
+	replays := 0
 	for i := 0; i < total; i++ {
-		send(mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: i}, now), 0)
+		send(mustStamp(t, s, Envelope{Type: TypeCoreOk, Value: i}))
 	}
-	for tick := 0; tick < 10000 && (len(delivered) < total || s.Pending() > 0); tick++ {
+	for tick := 0; tick < 10000 && (len(delivered) < total || len(s.Window()) > 0); tick++ {
 		now = now.Add(time.Millisecond)
-		// Deliver everything that has arrived by now.
+		// Deliver everything that has arrived by now. A damaged copy is
+		// rejected, and the receiver's replay request resends the window.
 		var rest []flight
+		rejected := false
 		for _, f := range wireQueue {
 			if f.at.After(now) {
 				rest = append(rest, f)
+				continue
+			}
+			if f.corrupt {
+				rejected = true
 				continue
 			}
 			got, _ := mustAccept(t, r, f.e)
 			delivered = append(delivered, got...)
 		}
 		wireQueue = rest
-		// The receiver acks; acks are lossy too but cumulative.
-		if !inj.Dropped(1, 0, int64(tick), 0) {
-			s.Ack(r.CumAck(), now)
-		}
-		for _, e := range s.Due(now) {
-			attempts[e.Seq]++
-			send(e, attempts[e.Seq])
+		s.Ack(r.CumAck())
+		if rejected {
+			replays++
+			for _, e := range s.Window() {
+				send(e)
+			}
 		}
 	}
 	if len(delivered) != total {
@@ -246,8 +218,11 @@ func TestReliableLinkUnderFaultSchedule(t *testing.T) {
 			t.Fatalf("delivery %d out of order or corrupted: %+v", i, e)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("sender still holds %d frames", s.Pending())
+	if len(s.Window()) != 0 {
+		t.Fatalf("sender still holds %d frames", len(s.Window()))
+	}
+	if replays == 0 {
+		t.Fatal("no damaged copy exercised the replay path")
 	}
 }
 
@@ -255,21 +230,21 @@ func TestReliableLinkUnderFaultSchedule(t *testing.T) {
 // hard error wrapping ErrSendBufferFull, consumes no sequence number, and
 // acking frees capacity again.
 func TestSendLinkCap(t *testing.T) {
-	l := NewSendLink(2*time.Millisecond, 8*time.Millisecond)
+	l := NewSendLink()
 	l.SetLimit(3)
 	for i := 0; i < 3; i++ {
-		mustStamp(t, l, Envelope{Type: TypeCoreOk, To: 1, Value: i}, t0)
+		mustStamp(t, l, Envelope{Type: TypeCoreOk, To: 1, Value: i})
 	}
-	if _, err := l.Stamp(Envelope{Type: TypeCoreOk, To: 1, Value: 3}, t0); !errors.Is(err, ErrSendBufferFull) {
+	if _, err := l.Stamp(Envelope{Type: TypeCoreOk, To: 1, Value: 3}); !errors.Is(err, ErrSendBufferFull) {
 		t.Fatalf("stamp over cap: err = %v, want ErrSendBufferFull", err)
 	}
-	if l.Pending() != 3 {
-		t.Fatalf("failed stamp changed pending: %d", l.Pending())
+	if len(l.Window()) != 3 {
+		t.Fatalf("failed stamp changed pending: %d", len(l.Window()))
 	}
 	// Ack one frame; the next stamp must succeed and continue the seq stream
 	// (the failed attempt consumed nothing).
-	l.Ack(1, t0)
-	e := mustStamp(t, l, Envelope{Type: TypeCoreOk, To: 1, Value: 3}, t0)
+	l.Ack(1)
+	e := mustStamp(t, l, Envelope{Type: TypeCoreOk, To: 1, Value: 3})
 	if e.Seq != 4 {
 		t.Fatalf("seq after failed stamp = %d, want 4", e.Seq)
 	}

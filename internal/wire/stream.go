@@ -33,9 +33,9 @@ import (
 
 // ErrCorruptFrame marks a binary frame whose CRC32C trailer failed
 // verification. The reader has already consumed the frame's bytes, so the
-// stream stays parseable: callers drop the frame (counting it) and let the
-// reliable layer's retransmission recover the payload. Match with
-// errors.Is.
+// stream stays parseable: callers drop the frame (counting it) and ask the
+// sender to replay its unacked window, which recovers the payload. Match
+// with errors.Is.
 var ErrCorruptFrame = errors.New("wire: frame failed checksum")
 
 // castagnoli is the CRC32C polynomial table. Castagnoli rather than IEEE
@@ -373,8 +373,8 @@ func (f *FrameWriter) Send(e *Envelope) error {
 	if e.TSeq != 0 && !f.causal {
 		// The peer did not negotiate causal tracing; drop the trace ID
 		// rather than send a layout it cannot parse. Copy so the caller's
-		// envelope (which may be queued for retransmission to a traced
-		// peer) keeps its ID.
+		// envelope (which may be queued for a replay to a traced peer)
+		// keeps its ID.
 		clone := *e
 		clone.TSeq = 0
 		e = &clone

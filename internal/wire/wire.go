@@ -75,7 +75,9 @@ const (
 	// hub broadcasts it to every other node, which resets both halves of its
 	// reliable link with From (RecvLink.Reset, SendLink.Reset) and echoes
 	// the frame back (From: itself, To: the restarted node) so the hub knows
-	// exactly where the pre-reset traffic on that connection ends.
+	// where the pre-reset traffic ends. With Resume set it is a replay
+	// request instead: resend the unacked Window toward From (every window
+	// when From is -1), numbering unchanged.
 	TypeReset = "ctl.reset"
 )
 

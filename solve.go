@@ -144,7 +144,7 @@ type Options struct {
 	WireNoBatch bool
 	// WireChecksum arms the CRC32C frame trailer on SolveTCP's binary
 	// connections: damaged frames are detected, dropped, counted, and
-	// recovered by retransmission instead of corrupting the decode. A
+	// replayed instead of corrupting the decode. A
 	// SolveTCPWorker requests it in its hellos; it takes effect only when
 	// the hub armed it too.
 	WireChecksum bool
@@ -243,9 +243,9 @@ type Result struct {
 	Duration time.Duration
 
 	// Transport counters (SolveAsync and SolveTCP). Nonzero counts mean the
-	// reliability layer did work: frames resent past a drop or partition,
-	// duplicate deliveries suppressed, crashed agents restarted from their
-	// checkpoints. A clean TCP run may still retransmit under congestion.
+	// reliability layer did work: dropped attempts modelled as delay, frames
+	// replayed after a loss, duplicate deliveries suppressed, crashed agents
+	// restarted from their checkpoints. A clean network counts none.
 	Retransmits          int64
 	DuplicatesSuppressed int64
 	Restarts             int64
@@ -257,7 +257,7 @@ type Result struct {
 	// Reconnects counts node connections re-established mid-run (worker
 	// redials and cold process relaunches); HeartbeatTimeouts counts
 	// dead-peer declarations; CorruptFrames counts frames rejected by the
-	// CRC32C trailer and recovered by retransmission (SolveTCP only).
+	// CRC32C trailer and recovered by a replay (SolveTCP only).
 	Reconnects        int64
 	HeartbeatTimeouts int64
 	CorruptFrames     int64
