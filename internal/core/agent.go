@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/discsp/discsp/internal/causal"
@@ -40,7 +41,7 @@ type Stats struct {
 // dense: values live in a csp.DenseView indexed by variable (with the own
 // variable's slot doubling as the probe value during evaluation), priorities
 // in a parallel slice, and every stored nogood's higher/lower classification
-// is cached and only recomputed when a priority or the store changes. The
+// is cached as a count and updated incrementally (see classify). The
 // map-backed representation of the paper-faithful first implementation is
 // kept verbatim behind Learning.Reference as a verification oracle (see
 // refpath.go); both representations charge bit-identical nogood checks and
@@ -62,18 +63,29 @@ type Agent struct {
 	prios  []int          // prios[v] = last announced priority of v (0 unknown)
 	links  []csp.Var      // sorted ok? broadcast targets
 	linked []bool         // membership mirror of links
-	// higher caches each stored nogood's higher/lower classification, by
-	// store position. Rank depends only on priorities (not values), so the
-	// cache stays valid until a view priority, the own priority, or the
-	// store itself changes. Store changes are detected by generation, not
-	// length: under a bounded retention policy an evict+insert pair leaves
-	// the length unchanged while shifting positions.
-	higher      []bool
-	higherValid bool
-	higherGen   int64
-	mcsView     *csp.DenseView // scratch assignment for conflict-set tests
-	litScratch  []csp.Lit      // scratch for resolvent assembly
-	subScratch  []csp.Lit      // scratch for mcs subset candidates
+	// The higher/lower classification cache. A nogood is higher iff every
+	// one of its other variables outranks the owner. above[v] records
+	// whether v outranks the owner; below[i] counts store entry i's other
+	// variables that do not, so entry i is higher iff below[i] == 0, and
+	// others[i] counts its other variables. below and others cover the
+	// first counted store positions, taken at store removal generation
+	// removals (between removals the store only appends, so positions stay
+	// put). A neighbour's priority change moves counts only when it flips
+	// above[v], and then only along v's posting list. An own-priority
+	// raise puts the owner above every variable, so it resets above to
+	// false and below to others. recount forces a full rebuild of above
+	// and below (construction, Restore), and any store removal forces a
+	// recount of below. Rank depends only on priorities, never on values,
+	// so value changes leave the cache alone.
+	above      []bool
+	below      []int32
+	others     []int32
+	counted    int
+	removals   int64
+	recount    bool
+	mcsView    *csp.DenseView // scratch assignment for conflict-set tests
+	litScratch []csp.Lit      // scratch for resolvent assembly
+	subScratch []csp.Lit      // scratch for mcs subset candidates
 
 	// Reference representation (Learning.Reference).
 	view     map[csp.Var]viewEntry
@@ -128,6 +140,8 @@ func NewAgent(id csp.Var, problem *csp.Problem, initial csp.Value, learning Lear
 		a.dv = csp.NewDenseView(n)
 		a.dv.Assign(id, initial)
 		a.prios = make([]int, n)
+		a.above = make([]bool, n)
+		a.recount = true
 		a.mcsView = csp.NewDenseView(n)
 		a.linked = make([]bool, n)
 		a.links = make([]csp.Var, len(neighbors))
@@ -257,7 +271,6 @@ func (a *Agent) SeedNogoods(ngs []csp.Nogood) {
 		}
 	}
 	sort.Slice(a.seedRequests, func(i, j int) bool { return a.seedRequests[i] < a.seedRequests[j] })
-	a.higherValid = false
 }
 
 // isNeighbor reports whether v is already an ok? broadcast target (a
@@ -370,7 +383,7 @@ func (a *Agent) observe(v csp.Var, val csp.Value, prio int) {
 	}
 	if a.prios[v] != prio {
 		a.prios[v] = prio
-		a.higherValid = false
+		a.reclassify(v)
 	}
 	a.dv.Assign(v, val)
 }
@@ -386,7 +399,7 @@ func (a *Agent) knows(v csp.Var) bool {
 
 // adopt enters an unknown variable's value into the agent_view at priority
 // 0 (the value asserted by a received nogood). Priority 0 equals the rank
-// an unknown variable already had, so the higher-nogood cache stays valid.
+// an unknown variable already had, so the classification cache stays valid.
 func (a *Agent) adopt(v csp.Var, val csp.Value) {
 	if a.learning.Reference {
 		a.view[v] = viewEntry{val: val, prio: 0}
@@ -436,13 +449,9 @@ func (a *Agent) receiveNogood(msg NogoodMsg) []sim.Message {
 				a.stats.NogoodsRecorded++
 				a.causalT.Store(ng, msg.TID)
 			}
-			if added || removed > 0 {
-				a.higherValid = false
-			}
 			a.stats.NogoodsPruned += int64(removed)
 		} else if a.store.Add(ng) {
 			a.stats.NogoodsRecorded++
-			a.higherValid = false
 			a.causalT.Store(ng, msg.TID)
 		}
 	}
@@ -513,23 +522,87 @@ func (a *Agent) isHigher(ng csp.Nogood) bool {
 	return ngRank.outranks(rank{p: a.priority, v: a.id})
 }
 
-// ensureHigher refreshes the per-nogood higher/lower classification cache.
-// Dense representation only.
-func (a *Agent) ensureHigher() {
-	all := a.store.All()
-	if a.higherValid && a.higherGen == a.store.Gen() {
+// outranksOwner reports whether v outranks the owner variable. Dense
+// representation only.
+func (a *Agent) outranksOwner(v csp.Var) bool {
+	return a.rankOf(v).outranks(rank{p: a.priority, v: a.id})
+}
+
+// reclassify updates the classification cache after v's announced
+// priority changed. Only a flip of above[v] moves any count, and only for
+// the counted entries in v's posting list. When a rebuild is already due
+// (recount set, or a store removal shifted positions) the walk is skipped:
+// the rebuild reads the current priorities.
+func (a *Agent) reclassify(v csp.Var) {
+	if a.recount {
 		return
 	}
-	if cap(a.higher) < len(all) {
-		a.higher = make([]bool, len(all))
-	} else {
-		a.higher = a.higher[:len(all)]
+	up := a.outranksOwner(v)
+	if up == a.above[v] {
+		return
 	}
-	for i, ng := range all {
-		a.higher[i] = a.isHigher(ng)
+	a.above[v] = up
+	if a.removals != a.store.RemovalGen() {
+		return
 	}
-	a.higherValid = true
-	a.higherGen = a.store.Gen()
+	d := int32(1)
+	if up {
+		d = -1
+	}
+	for _, pos := range a.store.PostingList(v) {
+		if pos >= a.counted {
+			break // appended since the last classify: counted there
+		}
+		a.below[pos] += d
+	}
+}
+
+// raisedAboveView updates the classification cache after the owner's
+// priority was raised above every priority in its view: no variable
+// outranks the owner any more, so every entry's other variables all count
+// against it. Dense representation only.
+func (a *Agent) raisedAboveView() {
+	clear(a.above)
+	copy(a.below[:a.counted], a.others[:a.counted])
+}
+
+// classify brings the classification cache up to date with the store:
+// on recount it recomputes above for every variable, after a store
+// removal it recounts every entry, and otherwise it counts only the
+// entries appended since the last call. Uncharged: it reads priorities,
+// never values, so it evaluates no nogood. Dense representation only.
+func (a *Agent) classify() {
+	if a.recount {
+		for v := range a.above {
+			a.above[v] = a.outranksOwner(csp.Var(v))
+		}
+		a.recount = false
+		a.counted = 0
+	}
+	if a.removals != a.store.RemovalGen() {
+		a.removals = a.store.RemovalGen()
+		a.counted = 0
+	}
+	all := a.store.All()
+	if a.counted == len(all) {
+		return
+	}
+	a.below = slices.Grow(a.below[:a.counted], len(all)-a.counted)[:len(all)]
+	a.others = slices.Grow(a.others[:a.counted], len(all)-a.counted)[:len(all)]
+	for i := a.counted; i < len(all); i++ {
+		ng := all[i]
+		var below, others int32
+		for j := 0; j < ng.Len(); j++ {
+			if v := ng.At(j).Var; v != a.id {
+				others++
+				if !a.above[v] {
+					below++
+				}
+			}
+		}
+		a.below[i], a.others[i] = below, others
+	}
+	a.counted = len(all)
 }
 
 // checkAgentView is the heart of AWC (Section 2.2). It returns whether the
@@ -598,7 +671,9 @@ func (a *Agent) checkAgentView() (bool, []sim.Message) {
 	// Raise priority above everything currently in view, then move to the
 	// value violating the fewest nogoods overall (higher and lower).
 	a.priority = a.maxViewPriority() + 1
-	a.higherValid = false
+	if !a.learning.Reference {
+		a.raisedAboveView()
+	}
 	a.stats.PriorityRaises++
 
 	bestIdx = a.chooseMin(len(a.domain),
@@ -647,10 +722,10 @@ func (a *Agent) consistent() bool {
 	if a.learning.Reference {
 		return a.consistentRef()
 	}
-	a.ensureHigher()
+	a.classify()
 	dv := a.dv // holds the agent_view with the own variable at a.value
 	for i, ng := range a.store.All() {
-		if !a.higher[i] {
+		if a.below[i] != 0 {
 			continue
 		}
 		if nogood.CheckDense(ng, dv, &a.counter) {
@@ -672,10 +747,10 @@ func (a *Agent) classifyViolations() {
 		a.classifyViolationsRef()
 		return
 	}
-	a.ensureHigher()
+	a.classify()
 	dv := a.dv
 	for i, ng := range a.store.All() {
-		higher := a.higher[i]
+		higher := a.below[i] == 0
 		for j, d := range a.domain {
 			dv.Assign(a.id, d)
 			if nogood.CheckDense(ng, dv, &a.counter) {

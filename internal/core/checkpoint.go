@@ -156,6 +156,6 @@ func (a *Agent) Restore(snapshot any) error {
 		a.linked[v] = true
 	}
 	a.setValue(s.Value) // also refreshes the dense view's own slot
-	a.higherValid = false
+	a.recount = true
 	return nil
 }

@@ -191,7 +191,7 @@ func (a *Agent) isConflictSetDense(lits []csp.Lit) bool {
 		mv.Assign(l.Var, l.Val)
 	}
 	if !a.learning.MCSRestrictScan {
-		a.ensureHigher()
+		a.classify()
 	}
 	for i, d := range a.domain {
 		mv.Assign(a.id, d)
@@ -205,7 +205,7 @@ func (a *Agent) isConflictSetDense(lits []csp.Lit) bool {
 			}
 		} else {
 			for k, ng := range a.store.All() {
-				if !a.higher[k] {
+				if a.below[k] != 0 {
 					continue
 				}
 				if nogood.CheckDense(ng, mv, &a.counter) {

@@ -7,6 +7,7 @@ import (
 	"github.com/discsp/discsp/internal/core"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/gen"
+	"github.com/discsp/discsp/internal/nogood"
 	"github.com/discsp/discsp/internal/sim"
 )
 
@@ -88,6 +89,11 @@ func TestDenseMatchesReference(t *testing.T) {
 		{Kind: core.LearnResolvent, SubsumptionPruning: true},
 		{Kind: core.LearnMCS, MCSRestrictScan: true},
 		{Kind: core.LearnResolvent, TieBreak: core.TieBreakRandom, Seed: 17},
+		// Bounded stores: evictions remove entries mid-run, so the dense
+		// classification cache's recount-on-removal path is held to the
+		// reference here end to end.
+		{Kind: core.LearnResolvent, Retention: nogood.Retention{Kind: nogood.RetainLRU, Cap: 4}},
+		{Kind: core.LearnResolvent, Retention: nogood.Retention{Kind: nogood.RetainActivity, Cap: 4}},
 	}
 	for _, inst := range equivalenceInstances(t) {
 		for _, l := range learners {

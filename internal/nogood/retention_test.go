@@ -320,31 +320,48 @@ func TestAddPruningPinnedTransfer(t *testing.T) {
 	}
 }
 
-// TestGenTracksStructure pins the generation counter agents key their
-// higher-priority caches on: any insert or removal changes Gen, and — the
-// case a length comparison misses — an evict+insert pair that leaves Len
-// unchanged still changes Gen.
-func TestGenTracksStructure(t *testing.T) {
+// TestRemovalGenTracksRemovals pins the removal generation agents key
+// their per-position classification caches on: appends and duplicates leave
+// it alone (the cache only needs the appended tail), while every removal —
+// including the evict+insert pair that leaves Len unchanged, a subsumption
+// prune, and a Restore — changes it.
+func TestRemovalGenTracksRemovals(t *testing.T) {
 	s := NewRetention(Retention{Kind: RetainLRU, Cap: 1})
-	g0 := s.Gen()
+	g0 := s.RemovalGen()
 	s.Add(csp.MustNogood(lit(0, 1)))
-	g1 := s.Gen()
-	if g1 == g0 {
-		t.Fatal("Add did not advance Gen")
+	if s.RemovalGen() != g0 {
+		t.Fatal("a plain append advanced RemovalGen")
 	}
 	lenBefore := s.Len()
 	s.Add(csp.MustNogood(lit(1, 1))) // evict+insert: length unchanged
 	if s.Len() != lenBefore {
 		t.Fatalf("evict+insert changed Len %d -> %d; test premise broken", lenBefore, s.Len())
 	}
-	if s.Gen() == g1 {
-		t.Fatal("evict+insert left Gen unchanged — stale position caches would survive")
+	g1 := s.RemovalGen()
+	if g1 == g0 {
+		t.Fatal("evict+insert left RemovalGen unchanged — stale position caches would survive")
 	}
 	// Duplicates are not structural changes.
-	g2 := s.Gen()
 	s.Add(csp.MustNogood(lit(1, 1)))
-	if s.Gen() != g2 {
-		t.Fatal("duplicate Add advanced Gen")
+	if s.RemovalGen() != g1 {
+		t.Fatal("duplicate Add advanced RemovalGen")
+	}
+
+	u := New()
+	u.Add(csp.MustNogood(lit(0, 1), lit(1, 1)))
+	g2 := u.RemovalGen()
+	u.AddPruning(csp.MustNogood(lit(2, 1)), nil) // no superset: append only
+	if u.RemovalGen() != g2 {
+		t.Fatal("a non-pruning AddPruning advanced RemovalGen")
+	}
+	u.AddPruning(csp.MustNogood(lit(0, 1)), nil) // prunes {0,1}
+	g3 := u.RemovalGen()
+	if g3 == g2 {
+		t.Fatal("a pruning AddPruning left RemovalGen unchanged")
+	}
+	u.Restore(u.Snapshot())
+	if u.RemovalGen() == g3 {
+		t.Fatal("Restore left RemovalGen unchanged")
 	}
 }
 

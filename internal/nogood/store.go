@@ -89,17 +89,22 @@ type Store struct {
 	// pinned entries (initial constraints, never evicted, exempt from the
 	// cap). clock is a logical timestamp advanced on every insert and Bump
 	// — stamps are therefore unique, which is what makes eviction
-	// tie-breaking deterministic at any worker count. gen increments on
-	// every structural change (insert or removal) so callers caching
-	// per-position derived state (the agents' higher-priority bitmaps)
-	// can detect staleness; a bare length comparison cannot, because an
-	// evict+insert pair leaves the length unchanged.
+	// tie-breaking deterministic at any worker count. removals increments
+	// whenever entries leave (prune, eviction, reset) and only then:
+	// between two removals the store is append-only, so a cache of
+	// per-position state (the AWC agents' higher/lower counts) stays valid
+	// for every position it has seen and only needs the appended tail. A
+	// length comparison cannot detect a removal, because an evict+insert
+	// pair leaves the length unchanged.
 	ret       Retention
 	meta      []entryMeta
 	pinnedLen int
 	clock     int64
-	gen       int64
+	removals  int64
 	evicted   int64
+
+	// doomed is AddPruning's reused scratch for superset positions.
+	doomed []int
 
 	// Telemetry hooks, attached by Instrument. All are nil in the
 	// default (uninstrumented) configuration; the telemetry metric
@@ -168,10 +173,11 @@ func NewFromSliceRetention(ngs []csp.Nogood, ret Retention) *Store {
 // Retention returns the store's retention policy.
 func (s *Store) Retention() Retention { return s.ret }
 
-// Gen returns the structural generation: it changes whenever the mapping
-// from positions to nogoods may have changed (any insert or removal).
-// Callers holding per-position caches compare generations, not lengths.
-func (s *Store) Gen() int64 { return s.gen }
+// RemovalGen returns the removal generation: it changes whenever entries
+// leave the store (subsumption pruning, retention eviction, or a Restore),
+// and only then. While it is unchanged, the store has only grown by
+// appending, so every position a caller saw still holds the same nogood.
+func (s *Store) RemovalGen() int64 { return s.removals }
 
 // LearnedLen returns the number of unpinned (learned) entries — the
 // population the retention cap bounds.
@@ -212,7 +218,6 @@ func (s *Store) insert(ng csp.Nogood, m entryMeta) {
 		s.bySize = append(s.bySize, nil)
 	}
 	s.bySize[size] = append(s.bySize[size], pos)
-	s.gen++
 	s.sizeGauge.Set(int64(len(s.nogoods)))
 	s.lenHist.Observe(int64(ng.Len()))
 }
@@ -406,7 +411,7 @@ func (s *Store) reset(sizeHint int) {
 	for i := range s.bySize {
 		s.bySize[i] = s.bySize[i][:0]
 	}
-	s.gen++
+	s.removals++
 }
 
 // State is the store's complete checkpointable state: the nogoods plus the
@@ -507,12 +512,11 @@ func (s *Store) AddPruning(ng csp.Nogood, c *Counter) (added bool, removed int) 
 		c.Add(len(s.nogoods))
 	}
 
-	var doomed []int // positions of strict supersets, ascending
+	doomed := s.doomed[:0] // positions of strict supersets, ascending
 	if ng.Empty() {
 		// The empty nogood subsumes everything.
-		doomed = make([]int, len(s.nogoods))
-		for i := range doomed {
-			doomed[i] = i
+		for i := range s.nogoods {
+			doomed = append(doomed, i)
 		}
 	} else if s.anyLongerThan(ng.Len()) {
 		// Scan the shortest posting list among ng's variables: a strict
@@ -526,6 +530,7 @@ func (s *Store) AddPruning(ng csp.Nogood, c *Counter) (added bool, removed int) 
 			}
 		}
 	}
+	s.doomed = doomed
 
 	if len(doomed) == 0 {
 		s.insert(ng, entryMeta{stamp: s.tick()})
@@ -566,18 +571,20 @@ func (s *Store) anyLongerThan(n int) bool {
 // shortestPostingList returns the positions of the nogoods mentioning the
 // variable of ng with the fewest occurrences. ng must be non-empty.
 func (s *Store) shortestPostingList(ng csp.Nogood) []int {
-	best := s.postingList(ng.At(0).Var)
+	best := s.PostingList(ng.At(0).Var)
 	for i := 1; i < ng.Len(); i++ {
-		if list := s.postingList(ng.At(i).Var); len(list) < len(best) {
+		if list := s.PostingList(ng.At(i).Var); len(list) < len(best) {
 			best = list
 		}
 	}
 	return best
 }
 
-// postingList returns the positions of the nogoods mentioning v; the slice
-// is grown lazily, so a never-seen variable has an empty list.
-func (s *Store) postingList(v csp.Var) []int {
+// PostingList returns the ascending positions of the nogoods mentioning v;
+// the lists are grown lazily, so a never-seen variable has an empty list.
+// The slice is the store's own index: callers must not modify it, and it
+// is valid only until the next insert or removal.
+func (s *Store) PostingList(v csp.Var) []int {
 	if int(v) >= len(s.byVar) {
 		return nil
 	}
@@ -610,7 +617,7 @@ func (s *Store) removeAt(doomed []int) {
 	s.nogoods = kept
 	s.meta = keptMeta
 	s.repairStructural(doomed)
-	s.gen++
+	s.removals++
 	s.sizeGauge.Set(int64(len(s.nogoods)))
 }
 

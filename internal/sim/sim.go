@@ -15,12 +15,20 @@
 // Solution detection is done out-of-band by the simulator (the distributed
 // algorithms themselves do not detect global termination); it is not charged
 // to any agent.
+//
+// The cycle loop's inboxes are double-buffered: two per-agent message
+// slices, one being delivered while the other collects the messages sent
+// this cycle, swapped and truncated each cycle so their storage is reused
+// for the whole run. That is why a Step batch is only valid during the
+// call. Per-type delivery counts are kept per reflect.Type and named once,
+// at the end of the run.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/discsp/discsp/internal/causal"
@@ -52,7 +60,9 @@ type Agent interface {
 	Init() []Message
 	// Step processes the batch of messages delivered this cycle and returns
 	// outgoing messages. The batch is sorted by (sender, arrival order) and
-	// may be empty for agents that received nothing.
+	// may be empty for agents that received nothing. The batch is only
+	// valid during the call: the simulator reuses its storage for later
+	// cycles, so an agent that keeps messages past Step must copy them.
 	Step(in []Message) []Message
 	// CurrentValue returns the agent's current variable value, for the
 	// simulator's out-of-band solution check.
@@ -204,7 +214,11 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		return tracers[i]
 	}
 
-	inbox := make(map[AgentID][]Message)
+	// inbox[i] is agent i's batch for the current cycle, next[i] collects
+	// what is sent to it during the cycle; the two swap after every cycle.
+	inbox := make([][]Message, len(agents))
+	next := make([][]Message, len(agents))
+	var byType typeCounts
 	var startupMax int64
 	for i, a := range agents {
 		at := tracerOf(i)
@@ -212,7 +226,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		out := a.Init()
 		stampBatch(at, out)
 		at.End()
-		route(inbox, out, len(agents))
+		route(inbox, out)
 		if c := a.Checks(); c > startupMax {
 			startupMax = c
 		}
@@ -224,28 +238,24 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 
 	if solved() {
 		res.Solved = true
-		finalizeTotals(&res, agents)
+		finalizeTotals(&res, agents, byType)
 		return res, nil
 	}
 	if anyInsoluble(agents) {
 		res.Insoluble = true
-		finalizeTotals(&res, agents)
+		finalizeTotals(&res, agents, byType)
 		return res, nil
 	}
 
 	for cycle := 1; cycle <= maxCycles; cycle++ {
 		res.Cycles = cycle
-		next := make(map[AgentID][]Message)
 		messagesIn, messagesOut := 0, 0
 		var maxDelta int64
 		for i, a := range agents {
-			in := sortBatch(inbox[a.ID()])
+			in := sortBatch(inbox[i])
 			messagesIn += len(in)
 			for _, m := range in {
-				if res.MessagesByType == nil {
-					res.MessagesByType = make(map[string]int)
-				}
-				res.MessagesByType[TypeName(m)]++
+				byType.add(reflect.TypeOf(m))
 			}
 			at := tracerOf(i)
 			at.Begin(causal.SpanStep, cycle)
@@ -254,7 +264,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 			stampBatch(at, out)
 			at.End()
 			messagesOut += len(out)
-			route(next, out, len(agents))
+			route(next, out)
 			delta := a.Checks() - prevChecks[i]
 			prevChecks[i] = a.Checks()
 			if delta > maxDelta {
@@ -263,7 +273,13 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		}
 		res.MaxCCK += maxDelta
 		res.Messages += messagesIn
-		inbox = next
+		// Every inbox batch has been delivered: empty it (dropping its
+		// message references) and make it the next cycle's collector.
+		for i := range inbox {
+			clear(inbox[i])
+			inbox[i] = inbox[i][:0]
+		}
+		inbox, next = next, inbox
 
 		done := solved()
 		if opts.Trace != nil {
@@ -287,21 +303,21 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		// agent will ever act again. For a complete algorithm this only
 		// happens when insolubility was derived; stop rather than spin to
 		// the cutoff.
-		if len(inbox) == 0 {
+		if messagesOut == 0 {
 			break
 		}
 	}
-	finalizeTotals(&res, agents)
+	finalizeTotals(&res, agents, byType)
 	return res, nil
 }
 
 // route appends each message to its recipient's queue, validating the
 // recipient. Panics on an out-of-range recipient: that is a bug in an
 // algorithm implementation, not a runtime condition.
-func route(inbox map[AgentID][]Message, out []Message, numAgents int) {
+func route(inbox [][]Message, out []Message) {
 	for _, m := range out {
 		to := m.To()
-		if int(to) < 0 || int(to) >= numAgents {
+		if int(to) < 0 || int(to) >= len(inbox) {
 			panic(fmt.Sprintf("sim: message %T addressed to unknown agent %d", m, to))
 		}
 		inbox[to] = append(inbox[to], m)
@@ -309,11 +325,34 @@ func route(inbox map[AgentID][]Message, out []Message, numAgents int) {
 }
 
 // sortBatch orders a delivery batch by sender, preserving per-sender order.
-// Agents are stepped in ID order so batches arrive already sender-sorted;
-// the stable sort is a cheap determinism safeguard should that change.
+// Agents are stepped in ID order so batches arrive already sender-sorted
+// and the check is all it costs; the stable sort is a determinism
+// safeguard should that change.
 func sortBatch(batch []Message) []Message {
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].From() < batch[j].From() })
+	bySender := func(a, b Message) int { return cmp.Compare(a.From(), b.From()) }
+	if !slices.IsSortedFunc(batch, bySender) {
+		slices.SortStableFunc(batch, bySender)
+	}
 	return batch
+}
+
+// typeCounts counts deliveries per concrete message type. A run carries a
+// handful of types, so a linear scan beats hashing.
+type typeCounts []typeCount
+
+type typeCount struct {
+	t reflect.Type
+	n int
+}
+
+func (c *typeCounts) add(t reflect.Type) {
+	for i := range *c {
+		if (*c)[i].t == t {
+			(*c)[i].n++
+			return
+		}
+	}
+	*c = append(*c, typeCount{t: t, n: 1})
 }
 
 // causeBatch records a delivery batch's trace IDs as causes of the open
@@ -341,8 +380,9 @@ func stampBatch(at *causal.AgentTracer, out []Message) {
 
 // TypeName renders a message's concrete type as "pkg.Type" — the key used
 // for per-kind delivery counts and causal emission records.
-func TypeName(m Message) string {
-	t := reflect.TypeOf(m)
+func TypeName(m Message) string { return typeName(reflect.TypeOf(m)) }
+
+func typeName(t reflect.Type) string {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
@@ -370,10 +410,16 @@ func snapshot(agents []Agent, into csp.SliceAssignment) {
 	}
 }
 
-func finalizeTotals(res *Result, agents []Agent) {
+func finalizeTotals(res *Result, agents []Agent, byType typeCounts) {
 	var total int64
 	for _, a := range agents {
 		total += a.Checks()
 	}
 	res.TotalChecks = total
+	if len(byType) > 0 {
+		res.MessagesByType = make(map[string]int, len(byType))
+		for _, c := range byType {
+			res.MessagesByType[typeName(c.t)] += c.n
+		}
+	}
 }

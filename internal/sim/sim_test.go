@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/discsp/discsp/internal/csp"
@@ -290,5 +291,132 @@ func TestMessagesByType(t *testing.T) {
 	}
 	if got := res.MessagesByType["sim.testMsg"]; got != 1 {
 		t.Errorf("MessagesByType = %v, want sim.testMsg:1", res.MessagesByType)
+	}
+}
+
+// otherMsg is a second message type for the per-type delivery counts; it is
+// sent both by value and by pointer, which TypeName names alike.
+type otherMsg struct{ from, to AgentID }
+
+func (m otherMsg) From() AgentID { return m.from }
+func (m otherMsg) To() AgentID   { return m.to }
+
+func neverSolved() bool { return false }
+
+func TestMessagesByTypeMixedScript(t *testing.T) {
+	// Every agent steps every cycle, so step == cycle.
+	//   Init:    0 sends testMsg, otherMsg, testMsg to 1.
+	//   Cycle 1: 1 receives those 3 and answers testMsg and *otherMsg;
+	//            0 receives nothing and sends otherMsg to 1.
+	//   Cycle 2: 0 receives 2, 1 receives 1; nobody sends, so the run
+	//            stops at quiescence.
+	// Hand count: testMsg 2+1, otherMsg 1+2, 6 deliveries in 2 cycles.
+	a0 := &scriptAgent{id: 0, sendInit: []Message{
+		testMsg{from: 0, to: 1}, otherMsg{from: 0, to: 1}, testMsg{from: 0, to: 1},
+	}}
+	a0.onStep = func(step int, _ []Message) []Message {
+		if step == 1 {
+			return []Message{otherMsg{from: 0, to: 1}}
+		}
+		return nil
+	}
+	a1 := &scriptAgent{id: 1}
+	a1.onStep = func(step int, _ []Message) []Message {
+		if step == 1 {
+			return []Message{testMsg{from: 1, to: 0}, &otherMsg{from: 1, to: 0}}
+		}
+		return nil
+	}
+	res, err := RunAgents([]Agent{a0, a1}, Options{MaxCycles: 10}, neverSolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"sim.testMsg": 3, "sim.otherMsg": 3}
+	if !reflect.DeepEqual(res.MessagesByType, want) {
+		t.Errorf("MessagesByType = %v, want %v", res.MessagesByType, want)
+	}
+	if res.Messages != 6 {
+		t.Errorf("Messages = %d, want 6", res.Messages)
+	}
+	if res.Cycles != 2 {
+		t.Errorf("Cycles = %d, want quiescence after cycle 2", res.Cycles)
+	}
+	for _, c := range []struct {
+		a     *scriptAgent
+		sizes []int
+	}{{a0, []int{0, 2}}, {a1, []int{3, 1}}} {
+		if len(c.a.received) != len(c.sizes) {
+			t.Fatalf("agent %d stepped %d times, want %d", c.a.id, len(c.a.received), len(c.sizes))
+		}
+		for i, n := range c.sizes {
+			if len(c.a.received[i]) != n {
+				t.Errorf("agent %d cycle %d batch = %v, want %d messages", c.a.id, i+1, c.a.received[i], n)
+			}
+		}
+	}
+}
+
+func TestRunSortsOutOfOrderDelivery(t *testing.T) {
+	// Agent 0 relays on behalf of sender 3 before agent 1 sends its own
+	// message, so agent 2's batch arrives out of sender order and must be
+	// stably sorted: sender 1 first, then sender 3's two messages in their
+	// sending order.
+	a0 := &scriptAgent{id: 0, sendInit: []Message{
+		testMsg{from: 3, to: 2, payload: 1}, testMsg{from: 3, to: 2, payload: 2},
+	}}
+	a1 := &scriptAgent{id: 1, sendInit: []Message{testMsg{from: 1, to: 2, payload: 3}}}
+	a2 := &scriptAgent{id: 2}
+	if _, err := RunAgents([]Agent{a0, a1, a2}, Options{MaxCycles: 5}, neverSolved); err != nil {
+		t.Fatal(err)
+	}
+	got := a2.received[0]
+	want := []Message{
+		testMsg{from: 1, to: 2, payload: 3},
+		testMsg{from: 3, to: 2, payload: 1},
+		testMsg{from: 3, to: 2, payload: 2},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("delivered batch = %v, want %v", got, want)
+	}
+}
+
+func TestRunQuiescenceWithReusedBuffers(t *testing.T) {
+	// A ping-pong that carries its hop count: each agent answers the
+	// message it got until the count reaches 5. The inbox buffers are
+	// swapped and reused every cycle, so every batch must hold exactly the
+	// one message sent the cycle before — no leftovers — and the run must
+	// stop at the first cycle that routes nothing.
+	const hops = 5
+	mk := func(id, peer AgentID) *scriptAgent {
+		a := &scriptAgent{id: id}
+		a.onStep = func(_ int, in []Message) []Message {
+			if len(in) == 0 {
+				return nil
+			}
+			if n := in[0].(testMsg).payload; n < hops {
+				return []Message{testMsg{from: id, to: peer, payload: n + 1}}
+			}
+			return nil
+		}
+		return a
+	}
+	a0, a1 := mk(0, 1), mk(1, 0)
+	a0.sendInit = []Message{testMsg{from: 0, to: 1, payload: 1}}
+	res, err := RunAgents([]Agent{a0, a1}, Options{MaxCycles: 100}, neverSolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles != hops || res.Messages != hops {
+		t.Errorf("Cycles = %d, Messages = %d, want both %d (stop at quiescence)", res.Cycles, res.Messages, hops)
+	}
+	for cycle := 1; cycle <= hops; cycle++ {
+		recv := a1
+		if cycle%2 == 0 {
+			recv = a0
+		}
+		batch := recv.received[cycle-1]
+		if len(batch) != 1 || batch[0].(testMsg).payload != csp.Value(cycle) {
+			t.Errorf("cycle %d: agent %d got %v, want one message with payload %d", cycle, recv.id, batch, cycle)
+		}
 	}
 }
